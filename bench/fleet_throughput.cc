@@ -3,7 +3,7 @@
  * The fleet serving engine's throughput harness: one tenant per
  * synthetic workload generator (the five classic streams plus the
  * three adversarial replacement stressors), replayed through the
- * batched SoA loop on the work-stealing pool, reporting the merged
+ * batched replay kernel on the work-stealing pool, reporting the merged
  * fleet counters and the sustained ops/sec.
  *
  * The committed BENCH_fleet.json baseline is this harness at --quick
@@ -82,7 +82,7 @@ main(int argc, char **argv)
     std::printf("=============================================="
                 "========================\n");
     std::printf("fleet throughput: %zu mixed-workload tenants, "
-                "batched SoA replay\n",
+                "batched replay\n",
                 spec.tenants.size());
     std::printf("duration-ops=%llu batch=%zu stride=%llu\n",
                 static_cast<unsigned long long>(duration_ops),

@@ -4,7 +4,10 @@
 # configuration input is rejected loudly, never silently ignored or
 # treated as an empty list).
 #
-# Usage: cmake -DCMD=<argv joined with '|'> -DMARKER=<string> -P CliFails.cmake
+# Usage: cmake -DCMD=<argv joined with '|'> -DMARKER=<string>
+#              [-DRC=<exit code>] -P CliFails.cmake
+# With RC set, the exit code must be exactly that value (1 = runtime
+# error, 2 = usage error) rather than merely non-zero.
 
 string(REPLACE "|" ";" cmd "${CMD}")
 execute_process(COMMAND ${cmd}
@@ -13,6 +16,9 @@ execute_process(COMMAND ${cmd}
                 RESULT_VARIABLE rc)
 if(rc EQUAL 0)
   message(FATAL_ERROR "'${CMD}' was expected to fail but exited 0\nstdout:\n${out}")
+endif()
+if(DEFINED RC AND NOT rc EQUAL RC)
+  message(FATAL_ERROR "'${CMD}' exited ${rc}, expected ${RC}\nstderr:\n${err}")
 endif()
 string(FIND "${err}" "${MARKER}" pos)
 if(pos EQUAL -1)

@@ -734,8 +734,8 @@ ParamRegistry::ParamRegistry()
         }));
     specs_.push_back(uintKnob(
         "fleet.batch_ops", 1, 1u << 16, "",
-        "ops decoded per batch in the SoA replay hot loop (one bulk "
-        "TraceReader::fill and one stat flush per batch)",
+        "ops decoded per batch in the replay hot loop (one bulk "
+        "TraceReader::fill per batch into a reused buffer)",
         [](const RunConfig &rc) { return rc.fleet.batchOps; },
         [](RunConfig &rc, std::uint64_t v) {
             rc.fleet.batchOps = static_cast<std::size_t>(v);

@@ -63,15 +63,15 @@ replayTenant(const FleetSpec &spec, std::size_t index)
                                      "': cannot open trace '" +
                                      tenant.tracePath + "'");
         const auto reader = openTraceReader(is);
-        result.replay = replayBatched(machine, *reader, batch_ops,
-                                      spec.durationOps);
+        result.replay = replay(machine, {reader.get()}, batch_ops,
+                               spec.durationOps);
     } else {
         const std::uint64_t ops = spec.durationOps
                                       ? spec.durationOps
                                       : config.synth.ops;
         const auto reader =
             makeSynthGenerator(tenant.workload, config.synth, ops);
-        result.replay = replayBatched(machine, *reader, batch_ops);
+        result.replay = replay(machine, {reader.get()}, batch_ops);
     }
 
     result.cycles = machine.cycles();

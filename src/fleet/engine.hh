@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "fleet/batch.hh"
 #include "fleet/tenant.hh"
+#include "sim/trace.hh"
 #include "workload/runner.hh"
 
 namespace califorms::fleet
@@ -49,7 +49,7 @@ struct TenantResult
 {
     std::string id;
     std::string source; //!< "workload=..." or "trace=..."
-    BatchReplayStats replay{};
+    ReplayStats replay{};
     Cycles cycles = 0;
     std::uint64_t instructions = 0;
     MemSysStats mem{};

@@ -35,7 +35,7 @@ void
 tenantJson(std::ostringstream &os, const TenantResult &t,
            std::uint64_t layout_seed)
 {
-    const BatchReplayStats &replay = t.replay;
+    const ReplayStats &replay = t.replay;
     os << "    {\"benchmark\": " << jsonString(t.source)
        << ", \"variant\": " << jsonString(t.id)
        << ", \"layoutSeed\": " << u64(layout_seed)

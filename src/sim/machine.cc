@@ -17,12 +17,10 @@ Machine::Machine(const MachineParams &params, ExceptionUnit::Policy policy)
         throw std::invalid_argument("Machine: core.count must be 1..32");
     mems_.reserve(params.core.count);
     cores_.reserve(params.core.count);
-    lsqs_.reserve(params.core.count);
     for (unsigned c = 0; c < params.core.count; ++c) {
         mems_.push_back(std::make_unique<MemorySystem>(
             params.mem, exceptions_, shared_));
         cores_.emplace_back(params.core, params.mem.l1Latency);
-        lsqs_.emplace_back();
     }
 }
 

@@ -8,9 +8,9 @@
  * The historical single-core API (load/store/cform/compute) targets
  * core 0 and is bit-for-bit identical to the pre-multi-core machine
  * when core.count == 1. Per-core traffic goes through the *On(core,
- * ...) variants; the deterministic round-robin interleaver that drives
- * them from per-core streams lives in sim/trace.hh
- * (runTraceInterleaved).
+ * ...) variants; the replay kernel that drives them from per-core
+ * streams in a deterministic round-robin lives in sim/trace.hh
+ * (replay).
  */
 
 #ifndef CALIFORMS_SIM_MACHINE_HH
@@ -23,7 +23,6 @@
 #include "core/cform.hh"
 #include "os/exception_unit.hh"
 #include "sim/core_model.hh"
-#include "sim/lsq.hh"
 #include "sim/memsys.hh"
 #include "sim/params.hh"
 #include "sim/shared_mem.hh"
@@ -112,8 +111,6 @@ class Machine
     }
     SharedMemory &sharedMemory() { return shared_; }
     const SharedMemory &sharedMemory() const { return shared_; }
-    /** Per-core load/store queue (Section 5.3 CFORM semantics model). */
-    LoadStoreQueue &lsq(unsigned core = 0) { return lsqs_.at(core); }
     const MachineParams &params() const { return params_; }
 
     /** Write everything dirty back to DRAM and drop all cache contents
@@ -129,7 +126,6 @@ class Machine
     SharedMemory shared_; //!< must outlive the attached private sides
     std::vector<std::unique_ptr<MemorySystem>> mems_;
     std::vector<CoreModel> cores_;
-    std::vector<LoadStoreQueue> lsqs_;
 };
 
 } // namespace califorms

@@ -49,101 +49,103 @@ TraceOp::compute(std::uint32_t ops)
     return op;
 }
 
+namespace
+{
+
+/** The one place a TraceOp becomes a Machine call. */
+inline void
+issue(Machine &machine, unsigned core, const TraceOp &op,
+      ReplayStats &stats)
+{
+    ++stats.kindOps[static_cast<std::size_t>(op.kind)];
+    switch (op.kind) {
+    case TraceOp::Kind::Load:
+        stats.checksum ^=
+            machine.loadOn(core, op.addr, op.size, op.dependsOnPrev);
+        break;
+    case TraceOp::Kind::Store:
+        machine.storeOn(core, op.addr, op.size, op.value);
+        break;
+    case TraceOp::Kind::Cform:
+        machine.cformOn(core, op.cform);
+        break;
+    case TraceOp::Kind::Compute:
+        machine.computeOn(core, op.computeOps);
+        break;
+    }
+}
+
+} // namespace
+
 std::uint64_t
 runTrace(Machine &machine, const Trace &trace)
 {
-    std::uint64_t checksum = 0;
-    for (const TraceOp &op : trace) {
-        switch (op.kind) {
-        case TraceOp::Kind::Load:
-            checksum ^= machine.load(op.addr, op.size, op.dependsOnPrev);
-            break;
-        case TraceOp::Kind::Store:
-            machine.store(op.addr, op.size, op.value);
-            break;
-        case TraceOp::Kind::Cform:
-            machine.cform(op.cform);
-            break;
-        case TraceOp::Kind::Compute:
-            machine.compute(op.computeOps);
-            break;
-        }
-    }
-    return checksum;
+    ReplayStats stats;
+    for (const TraceOp &op : trace)
+        issue(machine, 0, op, stats);
+    return stats.checksum;
 }
 
-std::uint64_t
-runTrace(Machine &machine, TraceReader &reader,
-         std::uint64_t *ops_replayed)
-{
-    std::uint64_t checksum = 0;
-    std::uint64_t count = 0;
-    TraceOp op;
-    while (reader.next(op)) {
-        ++count;
-        switch (op.kind) {
-        case TraceOp::Kind::Load:
-            checksum ^= machine.load(op.addr, op.size, op.dependsOnPrev);
-            break;
-        case TraceOp::Kind::Store:
-            machine.store(op.addr, op.size, op.value);
-            break;
-        case TraceOp::Kind::Cform:
-            machine.cform(op.cform);
-            break;
-        case TraceOp::Kind::Compute:
-            machine.compute(op.computeOps);
-            break;
-        }
-    }
-    if (ops_replayed)
-        *ops_replayed = count;
-    return checksum;
-}
-
-std::uint64_t
-runTraceInterleaved(Machine &machine,
-                    const std::vector<TraceReader *> &streams,
-                    std::uint64_t *ops_replayed)
+ReplayStats
+replay(Machine &machine, const std::vector<TraceReader *> &streams,
+       std::size_t batch_ops, std::uint64_t max_ops)
 {
     if (streams.size() != machine.coreCount())
         throw std::invalid_argument(
-            "runTraceInterleaved: need exactly one stream per core");
-    std::uint64_t checksum = 0;
-    std::uint64_t count = 0;
-    std::vector<bool> alive(streams.size(), true);
-    std::size_t live = streams.size();
-    TraceOp op;
+            "replay: need exactly one stream per core");
+    if (!batch_ops)
+        throw std::invalid_argument("replay: batch_ops must be >= 1");
+
+    /** Stream c's window into its batch_ops slice of the buffer. */
+    struct Lane
+    {
+        TraceOp *ops;
+        std::size_t pos = 0; //!< next buffered op to issue
+        std::size_t len = 0; //!< ops the last fill() yielded
+        bool open = true;    //!< the stream may yield more
+    };
+    std::vector<TraceOp> buffer(streams.size() * batch_ops);
+    std::vector<Lane> lanes;
+    lanes.reserve(streams.size());
+    for (std::size_t c = 0; c < streams.size(); ++c)
+        lanes.push_back({buffer.data() + c * batch_ops});
+
+    ReplayStats stats;
+    std::size_t live = streams.size(); // lanes that may still issue
     while (live) {
-        for (unsigned core = 0; core < streams.size(); ++core) {
-            if (!alive[core])
-                continue;
-            if (!streams[core]->next(op)) {
-                alive[core] = false;
+        for (unsigned core = 0; core < lanes.size(); ++core) {
+            Lane &lane = lanes[core];
+            if (lane.pos == lane.len) {
+                if (!lane.open)
+                    continue;
+                // Under a cap, at most `live` lanes share what is
+                // left one op per round, so this lane replays at
+                // least ceil(left / live) more ops: asking for no
+                // more than that never over-reads.
+                std::size_t want = batch_ops;
+                if (max_ops) {
+                    const std::uint64_t share =
+                        (max_ops - stats.ops + live - 1) / live;
+                    if (share < want)
+                        want = static_cast<std::size_t>(share);
+                }
+                lane.len = streams[core]->fill(lane.ops, want);
+                lane.pos = 0;
+                lane.open = lane.len == want;
+                if (!lane.len) {
+                    --live;
+                    continue;
+                }
+                ++stats.batches;
+            }
+            issue(machine, core, lane.ops[lane.pos++], stats);
+            if (++stats.ops == max_ops)
+                return stats;
+            if (lane.pos == lane.len && !lane.open)
                 --live;
-                continue;
-            }
-            ++count;
-            switch (op.kind) {
-            case TraceOp::Kind::Load:
-                checksum ^= machine.loadOn(core, op.addr, op.size,
-                                           op.dependsOnPrev);
-                break;
-            case TraceOp::Kind::Store:
-                machine.storeOn(core, op.addr, op.size, op.value);
-                break;
-            case TraceOp::Kind::Cform:
-                machine.cformOn(core, op.cform);
-                break;
-            case TraceOp::Kind::Compute:
-                machine.computeOn(core, op.computeOps);
-                break;
-            }
         }
     }
-    if (ops_replayed)
-        *ops_replayed = count;
-    return checksum;
+    return stats;
 }
 
 namespace detail

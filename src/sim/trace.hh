@@ -1,10 +1,12 @@
 /**
  * @file trace.hh
- * Memory trace representation, replay, and two serializations — a
- * plain-text format and a compact streaming binary format. Lets
- * downstream users drive the simulated machine from recorded or
- * generated traces without writing C++ — the classic trace-driven
- * simulator workflow.
+ * Memory trace representation, the replay kernel, and two
+ * serializations — a plain-text format and a compact streaming binary
+ * format. Lets downstream users drive the simulated machine from
+ * recorded or generated traces without writing C++ — the classic
+ * trace-driven simulator workflow. Every replay in the library (the
+ * trace CLI, the synthetic campaign benchmarks, the fleet engine) goes
+ * through replay() below.
  *
  * Text format, one op per line (comments start with '#'):
  *
@@ -38,6 +40,7 @@
 #ifndef CALIFORMS_SIM_TRACE_HH
 #define CALIFORMS_SIM_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -89,8 +92,8 @@ inline constexpr char kBinTraceMagic[6] = {'C', 'A', 'L', 'T', 'R',
                                            'C'};
 inline constexpr std::uint8_t kBinTraceVersion = 1;
 
-/** Replay @p trace on @p machine; returns loads' value XOR (a cheap
- *  checksum so replays can be compared). */
+/** Replay @p trace on @p machine's core 0; returns loads' value XOR
+ *  (a cheap checksum so replays can be compared). */
 std::uint64_t runTrace(Machine &machine, const Trace &trace);
 
 /** Serialize to the text format. */
@@ -124,8 +127,8 @@ class TraceReader
     /** Bulk variant: produce up to @p max ops into @p out, returning
      *  the count actually written (< max only at end of trace). The
      *  default loops next(); sources with cheaper batch decodes
-     *  override it. One virtual call per batch instead of per op is
-     *  what the fleet replay loop (fleet/batch.hh) builds on. */
+     *  override it. replay() reads every stream through this, one
+     *  virtual call per batch instead of per op. */
     virtual std::size_t
     fill(TraceOp *out, std::size_t max)
     {
@@ -168,26 +171,41 @@ std::unique_ptr<TraceWriter> makeTraceWriter(std::ostream &os,
                                              TraceFormat format,
                                              std::uint64_t op_count);
 
-/** Replay every op @p reader yields; returns the loads' value XOR, and
- *  the op count via @p ops_replayed when non-null. */
-std::uint64_t runTrace(Machine &machine, TraceReader &reader,
-                       std::uint64_t *ops_replayed = nullptr);
+/** Counters of one replay() call. */
+struct ReplayStats
+{
+    std::uint64_t ops = 0;      //!< total ops replayed
+    std::uint64_t batches = 0;  //!< fill() calls that yielded ops
+    std::uint64_t checksum = 0; //!< loads' value XOR
+    /** Ops per TraceOp::Kind, indexed Load/Store/Cform/Compute. */
+    std::uint64_t kindOps[4] = {0, 0, 0, 0};
+};
+
+/** Batch size of the replays no knob configures (trace run, the
+ *  synthetic campaign benchmarks); the fleet takes fleet.batch_ops. */
+inline constexpr std::size_t kReplayBatchOps = 256;
 
 /**
- * Replay per-core streams on a multi-core machine with a deterministic
- * round-robin interleave: one op from core 0, one from core 1, ... each
- * round, in core order; a stream that ends drops out of the rotation
- * while the rest continue. @p streams must contain exactly
- * machine.coreCount() entries (throws std::invalid_argument
- * otherwise). Returns the loads' value XOR across all cores (and the
- * total op count via @p ops_replayed) — with one stream this is
- * exactly runTrace. The fixed policy makes any (machine, streams) pair
- * reproduce the same cycles, stats, and checksum on every run.
+ * The replay kernel: drive @p machine from per-core streams with a
+ * deterministic round-robin interleave — one op from core 0, one from
+ * core 1, ... each round, in core order; a stream that ends drops out
+ * of the rotation while the rest continue. @p streams must contain
+ * exactly machine.coreCount() entries. The fixed order makes any
+ * (machine, streams) pair reproduce the same cycles, stats and
+ * checksum on every run.
+ *
+ * Each stream is read through TraceReader::fill() into its own
+ * @p batch_ops slice of one buffer allocated per call, so memory stays
+ * constant however long the streams run; the batch size never changes
+ * a result. Stops after @p max_ops ops in total when non-zero (0 =
+ * drain every stream). A capped replay never over-reads: a refill
+ * asks only for ops the stream is certain to replay before the cap.
+ * Throws std::invalid_argument on a stream-count mismatch or
+ * batch_ops == 0.
  */
-std::uint64_t
-runTraceInterleaved(Machine &machine,
-                    const std::vector<TraceReader *> &streams,
-                    std::uint64_t *ops_replayed = nullptr);
+ReplayStats replay(Machine &machine,
+                   const std::vector<TraceReader *> &streams,
+                   std::size_t batch_ops, std::uint64_t max_ops = 0);
 
 namespace detail
 {

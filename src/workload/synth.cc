@@ -77,8 +77,7 @@ class BudgetedGenerator : public TraceReader
         return true;
     }
 
-    /** Batch fast path for the fleet replay loop: one virtual call
-     *  per batch, produce() dispatched directly. */
+    /** Batch fast path for replay(): one virtual call per batch. */
     std::size_t
     fill(TraceOp *out, std::size_t max) final
     {
@@ -554,23 +553,13 @@ synthBench(const char *name)
     const std::string bench = name;
     return {bench, false, [bench](KernelContext &ctx) {
                 const SynthParams &p = ctx.synth();
-                const unsigned cores = ctx.machine().coreCount();
-                if (cores == 1) {
-                    // Historical single-core path, kept verbatim so
-                    // core.count=1 runs stay bit-identical to the
-                    // committed baselines.
-                    const auto gen =
-                        makeSynthGenerator(bench, p, ctx.n(p.ops));
-                    runTrace(ctx.machine(), *gen);
-                    return;
-                }
-                auto streams =
-                    makeSynthStreams(bench, p, ctx.n(p.ops), cores);
+                const auto streams =
+                    makeSynthStreams(bench, p, ctx.n(p.ops),
+                                     ctx.machine().coreCount());
                 std::vector<TraceReader *> raw;
-                raw.reserve(streams.size());
                 for (const auto &s : streams)
                     raw.push_back(s.get());
-                runTraceInterleaved(ctx.machine(), raw);
+                replay(ctx.machine(), raw, kReplayBatchOps);
             }};
 }
 
@@ -653,6 +642,17 @@ class PreambleReader final : public TraceReader
             return true;
         }
         return rest_->next(op);
+    }
+
+    /** Hands the rest of the batch to the wrapped generator's bulk
+     *  fill() once the preamble is spent. */
+    std::size_t
+    fill(TraceOp *out, std::size_t max) override
+    {
+        std::size_t n = 0;
+        while (n < max && pos_ < preamble_.size())
+            out[n++] = preamble_[pos_++];
+        return n + rest_->fill(out + n, max - n);
     }
 
   private:

@@ -2,12 +2,12 @@
  * @file test_fleet.cc
  * Fleet serving engine tests: tenant manifest parsing and the overlay
  * restriction rules, per-tenant config resolution (overlay precedence
- * and the seed stride), bit-equivalence of the batched SoA replay loop
- * against the per-op runTrace path, constant-memory streaming (fill
+ * and the seed stride), bit-equivalence of the batched replay kernel
+ * against the per-op reference loop, constant-memory streaming (fill
  * requests never exceed the batch size over a multi-million-op
- * replay), and the merged-report determinism contract: per-tenant sums
- * equal the fleet totals and the timing-free JSON is byte-identical at
- * any jobs/shards value.
+ * replay, on one stream or several), and the merged-report
+ * determinism contract: per-tenant sums equal the fleet totals and the
+ * timing-free JSON is byte-identical at any jobs/shards value.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "config/config.hh"
 #include "fleet/engine.hh"
 #include "fleet/report.hh"
+#include "replay_reference.hh"
 #include "sim/trace.hh"
 #include "workload/synth.hh"
 
@@ -214,7 +215,7 @@ TEST(ResolveTenantConfig, StrideZeroGivesIdenticalStreams)
               result.tenants[0].replay.checksum);
 }
 
-// The batched SoA hot loop ---------------------------------------------
+// The batched replay kernel --------------------------------------------
 
 TEST(BatchReplay, BitEquivalentToRunTrace)
 {
@@ -229,12 +230,11 @@ TEST(BatchReplay, BitEquivalentToRunTrace)
         const auto ref_gen = makeSynthGenerator(name, params, ops);
         std::uint64_t ref_ops = 0;
         const std::uint64_t ref_checksum =
-            runTrace(reference, *ref_gen, &ref_ops);
+            test::referenceReplay(reference, {ref_gen.get()}, &ref_ops);
 
         Machine batched({}, ExceptionUnit::Policy::Record);
         const auto gen = makeSynthGenerator(name, params, ops);
-        const BatchReplayStats stats =
-            replayBatched(batched, *gen, 256);
+        const ReplayStats stats = replay(batched, {gen.get()}, 256);
 
         EXPECT_EQ(stats.ops, ref_ops) << name;
         EXPECT_EQ(stats.checksum, ref_checksum) << name;
@@ -261,8 +261,7 @@ TEST(BatchReplay, BatchSizeInvariant)
     for (const std::size_t batch : {1ul, 7ul, 256ul, 65536ul}) {
         Machine machine({}, ExceptionUnit::Policy::Record);
         const auto gen = makeSynthGenerator("mixed", params, 10000);
-        const BatchReplayStats stats =
-            replayBatched(machine, *gen, batch);
+        const ReplayStats stats = replay(machine, {gen.get()}, batch);
         EXPECT_EQ(stats.ops, 10000u);
         EXPECT_EQ(stats.batches,
                   (10000 + batch - 1) / batch);
@@ -280,16 +279,14 @@ TEST(BatchReplay, MaxOpsCapsTheReplay)
     SynthParams params;
     Machine machine({}, ExceptionUnit::Policy::Record);
     const auto gen = makeSynthGenerator("stream", params, 100000);
-    const BatchReplayStats stats =
-        replayBatched(machine, *gen, 256, 1000);
+    const ReplayStats stats = replay(machine, {gen.get()}, 256, 1000);
     EXPECT_EQ(stats.ops, 1000u);
     EXPECT_EQ(stats.batches, 4u); // ceil(1000 / 256)
 
     // The cap must be an exact prefix of the uncapped replay.
     Machine full({}, ExceptionUnit::Policy::Record);
     const auto prefix_gen = makeSynthGenerator("stream", params, 1000);
-    const BatchReplayStats prefix =
-        replayBatched(full, *prefix_gen, 256);
+    const ReplayStats prefix = replay(full, {prefix_gen.get()}, 256);
     EXPECT_EQ(stats.checksum, prefix.checksum);
     EXPECT_EQ(machine.cycles(), full.cycles());
 }
@@ -299,8 +296,7 @@ TEST(BatchReplay, ZeroBatchThrows)
     SynthParams params;
     Machine machine({}, ExceptionUnit::Policy::Record);
     const auto gen = makeSynthGenerator("zipf", params, 10);
-    EXPECT_THROW(replayBatched(machine, *gen, 0),
-                 std::invalid_argument);
+    EXPECT_THROW(replay(machine, {gen.get()}, 0), std::invalid_argument);
 }
 
 /** Wraps a reader to record the largest single fill() request — the
@@ -318,11 +314,14 @@ class FillAuditReader : public TraceReader
     {
         maxRequest = std::max(maxRequest, max);
         ++fillCalls;
-        return inner_.fill(out, max);
+        const std::size_t n = inner_.fill(out, max);
+        produced += n;
+        return n;
     }
 
     std::size_t maxRequest = 0;
     std::uint64_t fillCalls = 0;
+    std::uint64_t produced = 0; //!< ops handed to the replay
 
   private:
     TraceReader &inner_;
@@ -338,11 +337,64 @@ TEST(BatchReplay, ConstantMemoryOverTwoMillionOps)
     Machine machine({}, ExceptionUnit::Policy::Record);
     const auto gen = makeSynthGenerator("stream", params, ops);
     FillAuditReader audit(*gen);
-    const BatchReplayStats stats = replayBatched(machine, audit, 512);
+    const ReplayStats stats = replay(machine, {&audit}, 512);
     EXPECT_EQ(stats.ops, ops);
     EXPECT_EQ(audit.maxRequest, 512u);
     EXPECT_EQ(audit.fillCalls, stats.batches);
     EXPECT_EQ(stats.batches, ops / 512 + (ops % 512 ? 1 : 0));
+}
+
+TEST(BatchReplay, FillAuditOverTwoUnequalStreams)
+{
+    // Two lanes of different lengths on a two-core machine: each lane
+    // refills its own 64-op slice, so no request ever exceeds the
+    // batch, every fill() yields a batch, and the interleave equals
+    // the per-op reference. Neither length is a multiple of the batch,
+    // so each lane's last fill() comes back short and none is empty.
+    SynthParams params;
+    MachineParams two_core;
+    two_core.core.count = 2;
+    two_core.mem.coherence = CoherenceKind::Msi;
+    const std::uint64_t long_ops = 5000, short_ops = 1300;
+
+    Machine machine(two_core, ExceptionUnit::Policy::Record);
+    const auto a = makeSynthGenerator("stream", params, long_ops);
+    const auto b = makeSynthGenerator("zipf", params, short_ops);
+    FillAuditReader audit_a(*a), audit_b(*b);
+    const ReplayStats stats = replay(machine, {&audit_a, &audit_b}, 64);
+    EXPECT_EQ(stats.ops, long_ops + short_ops);
+    EXPECT_LE(audit_a.maxRequest, 64u);
+    EXPECT_LE(audit_b.maxRequest, 64u);
+    EXPECT_EQ(audit_a.fillCalls + audit_b.fillCalls, stats.batches);
+    EXPECT_EQ(stats.batches, (long_ops + 63) / 64 + (short_ops + 63) / 64);
+
+    Machine reference(two_core, ExceptionUnit::Policy::Record);
+    const auto ra = makeSynthGenerator("stream", params, long_ops);
+    const auto rb = makeSynthGenerator("zipf", params, short_ops);
+    EXPECT_EQ(stats.checksum,
+              test::referenceReplay(reference, {ra.get(), rb.get()}));
+    EXPECT_EQ(machine.cycles(), reference.cycles());
+    EXPECT_EQ(machine.coreCycles(1), reference.coreCycles(1));
+}
+
+TEST(BatchReplay, CappedTwoStreamReplayNeverOverReads)
+{
+    // Under a cap each refill asks only for ops its lane is certain
+    // to replay, so the streams hand over exactly the capped count.
+    SynthParams params;
+    MachineParams two_core;
+    two_core.core.count = 2;
+    for (const std::uint64_t cap : {1ul, 99ul, 1000ul, 2599ul}) {
+        Machine machine(two_core, ExceptionUnit::Policy::Record);
+        const auto a = makeSynthGenerator("stream", params, 5000);
+        const auto b = makeSynthGenerator("zipf", params, 300);
+        FillAuditReader audit_a(*a), audit_b(*b);
+        const ReplayStats stats =
+            replay(machine, {&audit_a, &audit_b}, 256, cap);
+        EXPECT_EQ(stats.ops, cap);
+        EXPECT_EQ(audit_a.produced + audit_b.produced, cap) << cap;
+        EXPECT_LE(audit_b.produced, 300u);
+    }
 }
 
 // The fleet engine ------------------------------------------------------

@@ -5,7 +5,8 @@
  * and write invalidation through the directory, dirty recalls,
  * califormed-line ping-pong (conversion under invalidation), replay
  * determinism, jobs-invariance of a core.count sweep, per-core vs
- * merged statistics, the round-robin interleaver, the clearStats
+ * merged statistics, the round-robin replay kernel (batch-size
+ * invariance and equality with the per-op reference loop), the clearStats
  * wbPeakOccupancy regression, and degenerate trace-reader inputs.
  */
 
@@ -16,6 +17,7 @@
 
 #include "exp/campaign.hh"
 #include "exp/report.hh"
+#include "replay_reference.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
 #include "workload/runner.hh"
@@ -325,8 +327,18 @@ TEST(MulticoreStats, PerCoreStatsSumToMergedPrivateSide)
 }
 
 // ---------------------------------------------------------------------
-// The round-robin interleaver.
+// The round-robin replay kernel.
 // ---------------------------------------------------------------------
+
+/** Raw reader pointers for replay(). */
+std::vector<TraceReader *>
+rawStreams(const std::vector<std::unique_ptr<TraceReader>> &streams)
+{
+    std::vector<TraceReader *> raw;
+    for (const auto &s : streams)
+        raw.push_back(s.get());
+    return raw;
+}
 
 TEST(MulticoreInterleave, UnequalStreamsDrainCompletely)
 {
@@ -343,9 +355,11 @@ TEST(MulticoreInterleave, UnequalStreamsDrainCompletely)
     const auto r1 = openTraceReader(s1);
 
     Machine m(multicoreParams(2, CoherenceKind::Msi));
-    std::uint64_t replayed = 0;
-    runTraceInterleaved(m, {r0.get(), r1.get()}, &replayed);
-    EXPECT_EQ(replayed, 37u);
+    const ReplayStats stats = replay(m, {r0.get(), r1.get()}, 4);
+    EXPECT_EQ(stats.ops, 37u);
+    EXPECT_EQ(stats.kindOps[0], 30u);
+    EXPECT_EQ(stats.kindOps[1], 7u);
+    EXPECT_EQ(stats.batches, 8u + 2u); // ceil(30 / 4) + ceil(7 / 4)
     EXPECT_EQ(m.coreInstructions(0), 30u);
     EXPECT_EQ(m.coreInstructions(1), 7u);
 }
@@ -358,8 +372,49 @@ TEST(MulticoreInterleave, StreamCountMustMatchCoreCount)
     writeTrace(ss, t);
     const auto reader = openTraceReader(ss);
     Machine m(multicoreParams(2, CoherenceKind::Msi));
-    EXPECT_THROW(runTraceInterleaved(m, {reader.get()}, nullptr),
+    EXPECT_THROW(replay(m, {reader.get()}, kReplayBatchOps),
                  std::invalid_argument);
+}
+
+TEST(MulticoreInterleave, RingMsi4BatchSizeInvariantAndMatchesReference)
+{
+    // The shape of the ring-msi4 host benchmark: four MSI cores on the
+    // ring generator, core 0 leading with the CFORM protect preamble.
+    // Every batch size replays the machine calls of the per-op
+    // round-robin reference in the same order, so every result agrees.
+    SynthParams params;
+    params.protectLines = 16;
+    const std::uint64_t ops_per_core = 3000;
+    const MachineParams machine = multicoreParams(4, CoherenceKind::Msi);
+
+    Machine reference(machine, ExceptionUnit::Policy::Record);
+    const auto ref_streams =
+        makeSynthStreams("ring", params, ops_per_core, 4);
+    std::uint64_t ref_ops = 0;
+    const std::uint64_t ref_checksum = test::referenceReplay(
+        reference, rawStreams(ref_streams), &ref_ops);
+    ASSERT_GT(ref_ops, 4 * ops_per_core); // the preamble rides on top
+    ASSERT_GT(reference.memStats().invalidationsSent, 0u);
+    ASSERT_GT(reference.memStats().convUnderInval, 0u);
+
+    for (const std::size_t batch : {1ul, 7ul, 256ul}) {
+        Machine m(machine, ExceptionUnit::Policy::Record);
+        const auto streams =
+            makeSynthStreams("ring", params, ops_per_core, 4);
+        const ReplayStats stats = replay(m, rawStreams(streams), batch);
+        EXPECT_EQ(stats.ops, ref_ops) << batch;
+        EXPECT_EQ(stats.checksum, ref_checksum) << batch;
+        EXPECT_EQ(m.cycles(), reference.cycles()) << batch;
+        EXPECT_EQ(m.instructions(), reference.instructions()) << batch;
+        expectStatsEq(m.memStats(), reference.memStats());
+        for (unsigned c = 0; c < 4; ++c) {
+            EXPECT_EQ(m.coreCycles(c), reference.coreCycles(c)) << batch;
+            EXPECT_EQ(m.coreInstructions(c),
+                      reference.coreInstructions(c))
+                << batch;
+            expectStatsEq(m.coreMemStats(c), reference.coreMemStats(c));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

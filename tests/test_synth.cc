@@ -13,6 +13,7 @@
 
 #include "config/config.hh"
 #include "exp/campaign.hh"
+#include "replay_reference.hh"
 #include "workload/synth.hh"
 
 namespace califorms
@@ -197,7 +198,7 @@ TEST(SynthGenerator, AttackMixTripsSecurityBytes)
 TEST(SynthRunner, CampaignPathMatchesTracePath)
 {
     // The benchmark adapter streams the same generator the trace CLI
-    // serializes: cycles must agree exactly.
+    // serializes: cycles must agree exactly with the per-op reference.
     RunConfig config;
     config.scale = 1.0;
     config.synth.ops = 5000;
@@ -207,7 +208,7 @@ TEST(SynthRunner, CampaignPathMatchesTracePath)
     Machine machine(config.machine, ExceptionUnit::Policy::Record);
     const auto gen =
         makeSynthGenerator("zipf", config.synth, config.synth.ops);
-    runTrace(machine, *gen);
+    test::referenceReplay(machine, {gen.get()});
     EXPECT_EQ(via_campaign.cycles, machine.cycles());
     EXPECT_EQ(via_campaign.instructions, machine.instructions());
 }

@@ -434,12 +434,11 @@ TEST(TraceBinary, StreamingReplayMatchesVectorReplay)
     std::stringstream ss(toBinary(trace));
     const auto reader = openTraceReader(ss);
     Machine stream_machine;
-    std::uint64_t replayed = 0;
-    const std::uint64_t stream_sum =
-        runTrace(stream_machine, *reader, &replayed);
+    const ReplayStats stats =
+        replay(stream_machine, {reader.get()}, kReplayBatchOps);
 
-    EXPECT_EQ(replayed, trace.size());
-    EXPECT_EQ(stream_sum, vector_sum);
+    EXPECT_EQ(stats.ops, trace.size());
+    EXPECT_EQ(stats.checksum, vector_sum);
     EXPECT_EQ(stream_machine.cycles(), vector_machine.cycles());
     EXPECT_EQ(stream_machine.memStats().l1.misses,
               vector_machine.memStats().l1.misses);

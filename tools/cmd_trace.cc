@@ -22,6 +22,7 @@
 
 #include "cli.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -323,6 +324,14 @@ traceRun(int argc, char **argv)
         usage();
         return 2;
     }
+    // Every stream reads its own input; two readers sharing stdin
+    // would silently split one trace across cores.
+    if (std::count(paths.begin(), paths.end(), "-") > 1) {
+        std::fprintf(stderr, "califorms trace: stdin ('-') can feed "
+                             "only one stream; pass the other "
+                             "streams as files\n");
+        return 2;
+    }
 
     // A trace replay consumes only the machine model: every other
     // domain (run.*, layout.*, heap.*, stack.*, workload.*) is decided
@@ -350,8 +359,7 @@ traceRun(int argc, char **argv)
                      machine.coreCount());
         return 2;
     }
-    std::uint64_t replayed = 0;
-    std::uint64_t checksum = 0;
+    ReplayStats replayed;
     try {
         std::vector<std::ifstream> files(paths.size());
         std::vector<std::unique_ptr<TraceReader>> readers;
@@ -363,18 +371,15 @@ traceRun(int argc, char **argv)
             readers.push_back(openTraceReader(*is));
             streams.push_back(readers.back().get());
         }
-        checksum = paths.size() == 1
-                       ? runTrace(machine, *streams[0], &replayed)
-                       : runTraceInterleaved(machine, streams,
-                                             &replayed);
+        replayed = replay(machine, streams, kReplayBatchOps);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "califorms trace: %s\n", e.what());
         return 1;
     }
     std::printf("replayed %llu ops: checksum=%016llx cycles=%llu "
                 "instructions=%llu exceptions=%zu\n",
-                static_cast<unsigned long long>(replayed),
-                static_cast<unsigned long long>(checksum),
+                static_cast<unsigned long long>(replayed.ops),
+                static_cast<unsigned long long>(replayed.checksum),
                 static_cast<unsigned long long>(machine.cycles()),
                 static_cast<unsigned long long>(machine.instructions()),
                 machine.exceptions().deliveredCount());
