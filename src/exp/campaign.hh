@@ -73,8 +73,8 @@ struct Variant
      * declarative fields and the seed-list assignment (so a
      * layout.seed override really applies — note the campaign seed
      * axis then repeats the same seed), before tweak. Reports embed
-     * these as the variant's resolved non-default config (v2 only;
-     * variants without sets serialize exactly as before).
+     * these as the variant's resolved non-default config (variants
+     * without sets carry no "config" object).
      */
     std::vector<std::pair<std::string, std::string>> sets;
 

@@ -31,9 +31,11 @@ hex64(std::uint64_t v)
     return std::string(buf);
 }
 
+/** One tenant's run record; its stat blocks are gated on the
+ *  tenant's resolved machine, exactly as a campaign run's are. */
 void
 tenantJson(std::ostringstream &os, const TenantResult &t,
-           std::uint64_t layout_seed)
+           std::uint64_t layout_seed, const MachineParams &machine)
 {
     const ReplayStats &replay = t.replay;
     os << "    {\"benchmark\": " << jsonString(t.source)
@@ -53,14 +55,8 @@ tenantJson(std::ostringstream &os, const TenantResult &t,
        << jsonNumber(t.cycles ? static_cast<double>(t.instructions) /
                                     static_cast<double>(t.cycles)
                               : 0.0)
-       << ",\n     \"mem\": {";
-    bool first = true;
-    for (const StatEntry &e : memStatEntries(t.mem, StatSchema::V2)) {
-        os << (first ? "" : ", ") << jsonString(e.name) << ": "
-           << jsonNumber(e.value);
-        first = false;
-    }
-    os << "},\n     \"exceptions\": {\"delivered\": "
+       << ",\n     " << statBlocksJson(t.mem, machine)
+       << ",\n     \"exceptions\": {\"delivered\": "
        << u64(t.exceptionsDelivered)
        << ", \"suppressed\": " << u64(t.exceptionsSuppressed) << "}}";
 }
@@ -97,7 +93,8 @@ fleetJson(const FleetSpec &spec, const FleetResult &result,
     }
     os << "  \"runs\": [\n";
     for (std::size_t i = 0; i < result.tenants.size(); ++i) {
-        tenantJson(os, result.tenants[i], spec.base.layoutSeed);
+        tenantJson(os, result.tenants[i], spec.base.layoutSeed,
+                   resolveTenantConfig(spec, i).machine);
         os << (i + 1 < result.tenants.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

@@ -6,6 +6,7 @@
 
 #include "config/config.hh"
 #include "core/sentinel.hh"
+#include "sim/stats_dump.hh"
 
 namespace califorms
 {
@@ -164,32 +165,8 @@ MemSysStats
 Machine::memStats() const
 {
     MemSysStats out;
-    for (const auto &mem : mems_) {
-        const MemSysStats p = mem->privateStats();
-        out.l1.hits += p.l1.hits;
-        out.l1.misses += p.l1.misses;
-        out.l1.evictions += p.l1.evictions;
-        out.l1.dirtyEvictions += p.l1.dirtyEvictions;
-        out.l1.cformEvictions += p.l1.cformEvictions;
-        out.spills += p.spills;
-        out.fills += p.fills;
-        out.cformOps += p.cformOps;
-        out.securityFaults += p.securityFaults;
-        out.fillConvCycles += p.fillConvCycles;
-        out.spillConvCycles += p.spillConvCycles;
-        out.wbHits += p.wbHits;
-        out.wbEnqueued += p.wbEnqueued;
-        out.wbForcedDrains += p.wbForcedDrains;
-        out.wbPeakOccupancy =
-            std::max(out.wbPeakOccupancy, p.wbPeakOccupancy);
-        out.mshrAllocations += p.mshrAllocations;
-        out.mshrCoalesced += p.mshrCoalesced;
-        out.mshrStallCycles += p.mshrStallCycles;
-        // Per-core tables: the machine-level high-water mark is the
-        // fullest any one table got, not a sum across cores.
-        out.mshrPeakOccupancy =
-            std::max(out.mshrPeakOccupancy, p.mshrPeakOccupancy);
-    }
+    for (const auto &mem : mems_)
+        mergeCoreStats(out, mem->privateStats());
     shared_.mergeStatsInto(out);
     return out;
 }

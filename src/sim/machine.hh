@@ -96,8 +96,9 @@ class Machine
     std::uint64_t instructions() const;
     std::uint64_t coreInstructions(unsigned core) const;
 
-    /** Whole-machine counters: per-core private sides summed, shared
-     *  side added once. */
+    /** Whole-machine counters: per-core private sides merged row by
+     *  row as the stat table says (sum or max), shared side added
+     *  once. */
     MemSysStats memStats() const;
     /** One core's private-side counters (L1, conversions, write-back
      *  queue, faults; shared slots zero). */

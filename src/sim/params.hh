@@ -226,8 +226,7 @@ resolvedReplPolicy(const MemSysParams &params, unsigned level)
 }
 
 /** True when any level runs something other than the default Lru —
- *  the gate for the repl.* stat/report blocks, mirroring the
- *  mshr/dram convention that keeps default outputs byte-identical. */
+ *  the gate of the repl.* stat group (sim/stats_dump). */
 constexpr bool
 replPolicyActive(const MemSysParams &params)
 {

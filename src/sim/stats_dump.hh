@@ -1,74 +1,103 @@
 /**
  * @file stats_dump.hh
- * gem5-style flat statistics dump for a Machine: every counter on one
- * "name value # description" line, suitable for diffing across runs
- * and for downstream scripting. The underlying name/value entries are
- * exposed so other emitters (exp/report JSON and CSV) reuse the exact
- * same stat names.
+ * The stat table: every memory-system counter defined once — its
+ * name, doc, the MemSysStats field it reads (or how it is derived),
+ * how it merges across cores, and its group. Each group has one gate
+ * predicate over the machine configuration. Every emitter renders
+ * from the table: the flat dump below, the "mem"/"coherence"/"memlp"/
+ * "repl" blocks of the campaign and fleet JSON reports, the group
+ * lines of `califorms run`, and the per-core merge in
+ * Machine::memStats. A JSON trajectory therefore diffs against a text
+ * stats dump key for key.
  */
 
 #ifndef CALIFORMS_SIM_STATS_DUMP_HH
 #define CALIFORMS_SIM_STATS_DUMP_HH
 
+#include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
-#include "sim/machine.hh"
+#include "sim/memsys.hh"
+#include "sim/params.hh"
 
 namespace califorms
 {
 
-/** One named statistic. */
-struct StatEntry
+class Machine;
+
+/** Stat groups in emission order. Only Mem is always on; the others
+ *  exist only on machines that can exercise them (statGroupEnabled),
+ *  so default outputs carry none of them. */
+enum class StatGroup
 {
-    std::string name;
-    double value = 0;
-    const char *desc = "";
+    Mem,       //!< caches, DRAM traffic, conversions, write-back queue
+    Mshr,      //!< mshr.*: the non-blocking miss model
+    DramRow,   //!< dram.row*: the banked DRAM row-buffer model
+    Repl,      //!< repl.*: a non-default replacement policy somewhere
+    Coherence, //!< coherence.*: multi-core machines
 };
 
-/**
- * Which generation of the stat-name list to emit. V1 is the exact list
- * the califorms-campaign/v1 reports carried (l1d.*, l2.*, l3.*,
- * dram.*, califorms.{spills,fills,cformOps,securityFaults}); V2
- * appends the hierarchy counters introduced with the multi-level
- * refactor (conversion cycles, write-back queue). V1 stays emittable
- * so old report consumers keep working byte for byte.
- */
-enum class StatSchema
+/** How a stat combines the per-core private sides into the machine
+ *  total. */
+enum class StatMerge
 {
-    V1,
-    V2,
+    Sum,
+    Max,     //!< a high-water mark: the fullest any one core got
+    Shared,  //!< counted once by the shared side; zero per core
+    Derived, //!< computed from the merged counters
 };
 
-/** The memory-system counters under their canonical dump names
- *  (l1d.*, l2.*, l3.*, dram.*, califorms.*, wbq.*). */
-std::vector<StatEntry> memStatEntries(const MemSysStats &mem,
-                                      StatSchema schema = StatSchema::V2);
+/** One row of the stat table. A row reads a top-level MemSysStats
+ *  field, a per-level CacheStats field, or is derived. */
+struct StatDef
+{
+    const char *name;
+    const char *doc;
+    StatGroup group;
+    StatMerge merge;
+    std::uint64_t MemSysStats::*field = nullptr;
+    CacheStats MemSysStats::*level = nullptr;
+    std::uint64_t CacheStats::*levelField = nullptr;
+    double (*derive)(const MemSysStats &) = nullptr;
 
-/** The coherence.* counters. Kept out of memStatEntries so every
- *  single-core emission (dump, report JSON/CSV) stays byte-identical;
- *  emitters append these only for multi-core or coherence-enabled
- *  machines. */
-std::vector<StatEntry> coherenceStatEntries(const MemSysStats &mem);
+    /** The counter this row reads; null for a Derived row. */
+    const std::uint64_t *counter(const MemSysStats &stats) const;
+    std::uint64_t *counter(MemSysStats &stats) const;
+    double value(const MemSysStats &stats) const;
+};
 
-/** The mshr.* and dram row-buffer counters. Same convention as
- *  coherenceStatEntries: emitters append these only when the
- *  non-blocking timing model is configured (mem.mshr_entries > 0 or
- *  mem.dram_banks > 0), so every flat-latency emission stays
- *  byte-identical. */
-std::vector<StatEntry> memlpStatEntries(const MemSysStats &mem,
-                                        const MemSysParams &params);
+/** Every row, in emission order (grouped by StatGroup). */
+std::span<const StatDef> statTable();
 
-/** The repl.* counters of the replacement-policy laboratory:
- *  per-level califormed-victim eviction counts and the overall
- *  califormed victim rate. Same convention again: emitters append
- *  these only when some level runs a non-default policy
- *  (replPolicyActive), so every historical LRU emission stays
- *  byte-identical. */
-std::vector<StatEntry> replStatEntries(const MemSysStats &mem,
-                                       const MemSysParams &params);
+/** The group's name: the `run` line label and, for every group but
+ *  Mem, its rows' name prefix. */
+const char *statGroupName(StatGroup group);
 
-/** Render all machine statistics in a flat, diffable format. */
+/** The JSON report block the group renders into (Mshr and DramRow
+ *  share "memlp"). */
+const char *statGroupBlock(StatGroup group);
+
+/** The one gate predicate per group. */
+bool statGroupEnabled(StatGroup group, const MachineParams &params);
+
+/** Fold one core's private-side counters into @p into, row by row
+ *  (Sum and Max rows; Shared and Derived rows are left alone). */
+void mergeCoreStats(MemSysStats &into, const MemSysStats &core);
+
+/** The enabled groups as JSON report members — `"mem": {...}`, then
+ *  one `,\n     "<block>": {...}` per further enabled block. */
+std::string statBlocksJson(const MemSysStats &stats,
+                           const MachineParams &params);
+
+/** The enabled groups other than Mem as `run` report lines:
+ *  "  <group>: <name minus group prefix>=<value> ...\n". */
+std::string statGroupLines(const MemSysStats &stats,
+                           const MachineParams &params);
+
+/** Render all machine statistics in a flat, diffable format: one
+ *  "name value # doc" line per enabled row, bracketed by the core
+ *  and exception counters. */
 std::string dumpStats(const Machine &machine);
 
 } // namespace califorms

@@ -86,7 +86,12 @@ runTrace(Machine &machine, const Trace &trace)
     return stats.checksum;
 }
 
-ReplayStats
+// Cache-line aligned: the issue loop below is every replay's hot loop,
+// and where it falls relative to the instruction-fetch window otherwise
+// moves with the size of unrelated code linked ahead of it (measured on
+// a 4-vCPU x86-64 VM: ~17% ns/op on an L1-resident replay after an
+// unrelated code-size change).
+[[gnu::aligned(64)]] ReplayStats
 replay(Machine &machine, const std::vector<TraceReader *> &streams,
        std::size_t batch_ops, std::uint64_t max_ops)
 {

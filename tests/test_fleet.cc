@@ -20,7 +20,9 @@
 #include "fleet/engine.hh"
 #include "fleet/report.hh"
 #include "replay_reference.hh"
+#include "sim/stats_dump.hh"
 #include "sim/trace.hh"
+#include "util/jsonout.hh"
 #include "workload/synth.hh"
 
 namespace califorms::fleet
@@ -530,6 +532,41 @@ TEST(FleetReport, ChecksumRendersAsHexString)
                       result.tenants[0].replay.checksum));
     EXPECT_NE(fleetJson(spec, result, false).find(expect),
               std::string::npos);
+}
+
+TEST(FleetReport, OverlayTenantCarriesItsGatedStatBlocks)
+{
+    // A tenant's record is gated on its own resolved machine, exactly
+    // as a campaign run's is: only the overlay tenant carries memlp and
+    // repl, with that tenant's values.
+    FleetSpec spec;
+    spec.tenants = {mustParse("plain workload=zipf"),
+                    mustParse("lp workload=zipf mem.mshr_entries=8 "
+                              "mem.dram_banks=8 mem.repl_policy=drrip")};
+    spec.durationOps = 3000;
+    const FleetResult result = runFleet(spec, 1);
+    const std::string json = fleetJson(spec, result, false);
+    const std::size_t split = json.find("\"variant\": \"lp\"");
+    ASSERT_NE(split, std::string::npos);
+    const std::string plain = json.substr(0, split);
+    const std::string lp = json.substr(split);
+    for (const char *block : {"\"memlp\"", "\"repl\"", "\"coherence\""})
+        EXPECT_EQ(plain.find(block), std::string::npos) << block;
+    EXPECT_NE(lp.find("\"memlp\": {"), std::string::npos);
+    EXPECT_NE(lp.find("\"repl\": {"), std::string::npos);
+    EXPECT_EQ(lp.find("\"coherence\""), std::string::npos);
+
+    const MemSysStats &mem = result.tenants[1].mem;
+    EXPECT_GT(mem.mshrAllocations, 0u);
+    EXPECT_GT(mem.dramRowConflicts, 0u);
+    for (const StatDef &s : statTable()) {
+        if (s.group == StatGroup::Mem || s.group == StatGroup::Coherence)
+            continue;
+        EXPECT_NE(lp.find(jsonString(s.name) + ": " +
+                          jsonNumber(s.value(mem))),
+                  std::string::npos)
+            << s.name;
+    }
 }
 
 TEST(FleetResultApi, OpsPerSec)

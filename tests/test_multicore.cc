@@ -12,13 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string_view>
 #include <sstream>
 #include <stdexcept>
 
 #include "exp/campaign.hh"
 #include "exp/report.hh"
 #include "replay_reference.hh"
+#include "config/config.hh"
 #include "sim/machine.hh"
+#include "sim/stats_dump.hh"
 #include "sim/trace.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
@@ -37,41 +42,16 @@ multicoreParams(unsigned cores, CoherenceKind coherence)
     return p;
 }
 
-/** Field-for-field stat equality (loud names on mismatch). */
+/** Counter-for-counter stat equality over the stat table (loud names
+ *  on mismatch). */
 void
 expectStatsEq(const MemSysStats &a, const MemSysStats &b)
 {
-    EXPECT_EQ(a.l1.hits, b.l1.hits);
-    EXPECT_EQ(a.l1.misses, b.l1.misses);
-    EXPECT_EQ(a.l1.evictions, b.l1.evictions);
-    EXPECT_EQ(a.l1.dirtyEvictions, b.l1.dirtyEvictions);
-    EXPECT_EQ(a.l2.hits, b.l2.hits);
-    EXPECT_EQ(a.l2.misses, b.l2.misses);
-    EXPECT_EQ(a.l3.hits, b.l3.hits);
-    EXPECT_EQ(a.l3.misses, b.l3.misses);
-    EXPECT_EQ(a.dramAccesses, b.dramAccesses);
-    EXPECT_EQ(a.spills, b.spills);
-    EXPECT_EQ(a.fills, b.fills);
-    EXPECT_EQ(a.cformOps, b.cformOps);
-    EXPECT_EQ(a.securityFaults, b.securityFaults);
-    EXPECT_EQ(a.fillConvCycles, b.fillConvCycles);
-    EXPECT_EQ(a.spillConvCycles, b.spillConvCycles);
-    EXPECT_EQ(a.wbHits, b.wbHits);
-    EXPECT_EQ(a.wbEnqueued, b.wbEnqueued);
-    EXPECT_EQ(a.wbForcedDrains, b.wbForcedDrains);
-    EXPECT_EQ(a.wbPeakOccupancy, b.wbPeakOccupancy);
-    EXPECT_EQ(a.invalidationsSent, b.invalidationsSent);
-    EXPECT_EQ(a.dirtyRecalls, b.dirtyRecalls);
-    EXPECT_EQ(a.convUnderInval, b.convUnderInval);
-    EXPECT_EQ(a.coherenceConvCycles, b.coherenceConvCycles);
-    EXPECT_EQ(a.mshrAllocations, b.mshrAllocations);
-    EXPECT_EQ(a.mshrCoalesced, b.mshrCoalesced);
-    EXPECT_EQ(a.mshrStallCycles, b.mshrStallCycles);
-    EXPECT_EQ(a.mshrPeakOccupancy, b.mshrPeakOccupancy);
-    EXPECT_EQ(a.dramRowHits, b.dramRowHits);
-    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
-    EXPECT_EQ(a.dramRowConflicts, b.dramRowConflicts);
-    EXPECT_EQ(a.dramBankConflictCycles, b.dramBankConflictCycles);
+    for (const StatDef &s : statTable()) {
+        if (const std::uint64_t *counter = s.counter(a)) {
+            EXPECT_EQ(*counter, *s.counter(b)) << s.name;
+        }
+    }
 }
 
 const SpecBenchmark &
@@ -414,6 +394,158 @@ TEST(MulticoreInterleave, RingMsi4BatchSizeInvariantAndMatchesReference)
                 << batch;
             expectStatsEq(m.coreMemStats(c), reference.coreMemStats(c));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The stat table: one definition per counter, shared by every emitter.
+// ---------------------------------------------------------------------
+
+TEST(StatTable, RowsAreGroupedAndPrefixed)
+{
+    // Emitters open one block or line per group run, so each group's
+    // rows are contiguous; every gated row carries its group's prefix.
+    const auto table = statTable();
+    for (std::size_t i = 1; i < table.size(); ++i)
+        EXPECT_LE(table[i - 1].group, table[i].group) << table[i].name;
+    for (const StatDef &s : table) {
+        EXPECT_TRUE(s.counter(MemSysStats{}) || s.derive) << s.name;
+        if (s.group != StatGroup::Mem) {
+            EXPECT_EQ(std::string(s.name).rfind(
+                          std::string(statGroupName(s.group)) + ".", 0),
+                      0u)
+                << s.name;
+        }
+    }
+}
+
+TEST(StatTable, MergeConservesEveryPrivateRow)
+{
+    // Every row the private side counts merges as the table says (sum
+    // or max over the cores); every Shared row is zero on each core.
+    MachineParams p = multicoreParams(4, CoherenceKind::Msi);
+    p.mem.wbQueueEntries = 8;
+    p.mem.mshrEntries = 4;
+    Machine m(p, ExceptionUnit::Policy::Record);
+    SynthParams params;
+    params.protectLines = 16;
+    const auto streams = makeSynthStreams("ring", params, 3000, 4);
+    replay(m, rawStreams(streams), 256);
+    const MemSysStats merged = m.memStats();
+    ASSERT_GT(merged.wbEnqueued, 0u);
+    ASSERT_GT(merged.mshrAllocations, 0u);
+    ASSERT_GT(merged.invalidationsSent, 0u);
+    // High-water marks merge as a max, so the machine's mark stays
+    // within one core's bound (the write-back queue briefly holds one
+    // entry over capacity: a push lands before its forced drain).
+    EXPECT_LE(merged.wbPeakOccupancy, 8u + 1);
+    EXPECT_LE(merged.mshrPeakOccupancy, 4u);
+
+    for (const StatDef &s : statTable()) {
+        if (std::string_view(s.name).ends_with(".peakOccupancy")) {
+            EXPECT_EQ(s.merge, StatMerge::Max) << s.name;
+        }
+        if (s.merge == StatMerge::Derived)
+            continue;
+        std::uint64_t sum = 0, max = 0;
+        for (unsigned c = 0; c < 4; ++c) {
+            const std::uint64_t v = *s.counter(m.coreMemStats(c));
+            sum += v;
+            max = std::max(max, v);
+            if (s.merge == StatMerge::Shared) {
+                EXPECT_EQ(v, 0u) << s.name << " on core " << c;
+            }
+        }
+        if (s.merge == StatMerge::Sum) {
+            EXPECT_EQ(*s.counter(merged), sum) << s.name;
+        } else if (s.merge == StatMerge::Max) {
+            EXPECT_EQ(*s.counter(merged), max) << s.name;
+        }
+    }
+}
+
+TEST(StatTable, SingleCoreMsiHasNoCoherenceTraffic)
+{
+    // The coherence gate is core.count > 1: a single-core MSI machine
+    // has no remote L1 to probe, so dropping its coherence.* lines
+    // loses nothing.
+    for (const char *workload : {"zipf", "ring", "attackmix"}) {
+        const RunResult r = runSynth(workload, 1, CoherenceKind::Msi);
+        for (const StatDef &s : statTable()) {
+            if (s.group == StatGroup::Coherence) {
+                EXPECT_EQ(s.value(r.mem), 0.0)
+                    << workload << " " << s.name;
+            }
+        }
+    }
+}
+
+/** The configurations the emitters must agree on, as registry sets. */
+const std::vector<std::vector<std::pair<std::string, std::string>>>
+    kEmitterConfigs = {
+        {},
+        {{"mem.coherence", "msi"}},
+        {{"core.count", "2"}, {"mem.coherence", "msi"}},
+        {{"mem.mshr_entries", "4"}},
+        {{"mem.dram_banks", "4"}},
+        {{"mem.repl_policy", "drrip"}},
+};
+
+TEST(StatTable, DumpJsonAndRunLinesAgreeOnGroups)
+{
+    const std::vector<std::set<std::string>> expected = {
+        {}, {}, {"coherence"}, {"mshr"}, {"dram"}, {"repl"}};
+    for (std::size_t i = 0; i < kEmitterConfigs.size(); ++i) {
+        exp::Variant variant("v", InsertionPolicy::None);
+        config::Config cfg;
+        for (const auto &[key, value] : kEmitterConfigs[i]) {
+            variant.withSet(key, value);
+            cfg.set(key, value);
+        }
+        RunConfig config;
+        cfg.applyTo(config);
+
+        // The dump: each line's name, looked up in the table.
+        Machine machine(config.machine, ExceptionUnit::Policy::Record);
+        const auto streams = makeSynthStreams(
+            "zipf", config.synth, 500, config.machine.core.count);
+        replay(machine, rawStreams(streams), 256);
+        std::set<std::string> dumped;
+        std::istringstream dump(dumpStats(machine));
+        for (std::string line; std::getline(dump, line);)
+            for (const StatDef &s : statTable())
+                if (s.group != StatGroup::Mem &&
+                    line.rfind(std::string(s.name) + " ", 0) == 0)
+                    dumped.insert(statGroupName(s.group));
+
+        // The campaign report and `run`'s group lines for one run.
+        exp::CampaignSpec spec;
+        spec.suite = {&synthBench("zipf")};
+        spec.variants = {variant};
+        spec.layoutSeeds = {1};
+        spec.base.synth.ops = 500;
+        const exp::CampaignResult result = exp::runCampaign(spec, 1);
+        const MachineParams &run_machine = result.units[0].config.machine;
+        std::set<std::string> lines, blocks;
+        std::istringstream text(
+            statGroupLines(result.results[0].mem, run_machine));
+        for (std::string line; std::getline(text, line);)
+            lines.insert(line.substr(2, line.find(':') - 2));
+        const std::string json =
+            exp::campaignJson(result, exp::ReportTiming{false});
+        for (const char *block : {"coherence", "memlp", "repl"})
+            if (json.find("\"" + std::string(block) + "\": {") !=
+                std::string::npos)
+                blocks.insert(block);
+
+        std::set<std::string> want_blocks;
+        for (const StatDef &s : statTable())
+            if (s.group != StatGroup::Mem &&
+                expected[i].count(statGroupName(s.group)))
+                want_blocks.insert(statGroupBlock(s.group));
+        EXPECT_EQ(dumped, expected[i]) << i;
+        EXPECT_EQ(lines, expected[i]) << i;
+        EXPECT_EQ(blocks, want_blocks) << i;
     }
 }
 

@@ -84,22 +84,16 @@ expectMatchesGolden(const std::string &json, const char *file)
     EXPECT_EQ(json, expected);
 }
 
-TEST(ReportGolden, V1ProjectionMatchesPreHierarchyGolden)
+TEST(ReportGolden, QuickJsonMatchesCheckedInExpectation)
 {
-    // campaign_quick.json was generated by the pre-hierarchy code and
-    // is deliberately left untouched: the V1 projection of a default-
-    // hierarchy campaign must still reproduce it byte for byte — the
-    // differential guarantee that the multi-level refactor changed
-    // neither the v1 schema nor the default machine's numbers.
-    // (CALIFORMS_REGEN_GOLDEN regenerates it like every golden, but a
-    // legitimate regen should only ever be needed for an intentional
-    // simulator-semantics change.)
+    // campaign_quick.json pins the default machine: the same numbers
+    // the pre-hierarchy code produced for this campaign, now in the v2
+    // rendering.
     const auto result = exp::runCampaign(goldenSpec(), 2);
     exp::ReportTiming timing;
     timing.include = false;
-    const std::string json =
-        exp::campaignJson(result, timing, exp::ReportSchema::V1);
-    expectMatchesGolden(json, "campaign_quick.json");
+    expectMatchesGolden(exp::campaignJson(result, timing),
+                        "campaign_quick.json");
 }
 
 TEST(ReportGolden, V2JsonMatchesCheckedInExpectation)
@@ -131,14 +125,6 @@ TEST(Report, V2CarriesTheHierarchyAndConversionSurface)
     EXPECT_NE(v2.find("\"wbq.hits\""), std::string::npos);
     EXPECT_NE(v2.find("\"label\": \"base@L1\", \"policy\": \"none\""),
               std::string::npos);
-
-    const std::string v1 =
-        exp::campaignJson(result, timing, exp::ReportSchema::V1);
-    EXPECT_NE(v1.find("\"schema\": \"califorms-campaign/v1\""),
-              std::string::npos);
-    EXPECT_EQ(v1.find("\"hierarchy\""), std::string::npos);
-    EXPECT_EQ(v1.find("\"wbq.hits\""), std::string::npos);
-    EXPECT_EQ(v1.find("\"fillConvCycles\""), std::string::npos);
 }
 
 TEST(Report, TimingIsSegregatedAndOptional)

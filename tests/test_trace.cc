@@ -14,6 +14,7 @@
 #include "sim/stats_dump.hh"
 #include "sim/trace.hh"
 #include "util/rng.hh"
+#include "workload/synth.hh"
 
 namespace califorms
 {
@@ -489,6 +490,24 @@ TEST(StatsDump, ContainsAllSections)
           "califorms.cformOps", "exceptions.delivered"}) {
         EXPECT_NE(dump.find(key), std::string::npos) << key;
     }
+}
+
+TEST(StatsDump, IntegersPrintExactlyPastOneMillion)
+{
+    // Every dump value follows the JSON number rule, so a counter of
+    // seven or more digits prints exactly (a stream's default six
+    // significant digits would print 1.11952e+06).
+    Machine machine;
+    const auto zipf = makeSynthGenerator("zipf", SynthParams{}, 20000);
+    replay(machine, {zipf.get()}, 256);
+    ASSERT_GE(machine.cycles(), 1000000u);
+    const std::string dump = dumpStats(machine);
+    const std::size_t at = dump.find("core.cycles ");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line = dump.substr(at, dump.find('\n', at) - at);
+    EXPECT_NE(line.find(" " + std::to_string(machine.cycles()) + " "),
+              std::string::npos)
+        << line;
 }
 
 TEST(StatsDump, IpcZeroOnFreshMachine)

@@ -2,11 +2,14 @@
 """Benchmark regression gate for califorms campaign reports.
 
 Compares a freshly produced campaign JSON report (schema
-califorms-campaign/v1 or /v2) against a committed baseline:
+califorms-campaign/v2) against a committed baseline:
 
-  * simulated counters (cycles, instructions, per-run mem stats) are
-    deterministic, so any drift is a hard failure — an intentional
-    model change must regenerate the baseline with --update;
+  * run records are deterministic, so they are compared key for key
+    (cycles, instructions, every stat block, per-core arrays, the
+    security/heap/exception rollups, the fleet's ops and checksums);
+    any drift, and any key present on one side only, is a hard
+    failure — an intentional model change must regenerate the
+    baseline with --update;
   * wall-clock time (the optional "timing" object) is gated with a
     relative threshold: the current elapsedMs may exceed the baseline
     by at most --time-threshold (default 0.15 = +15%); pass
@@ -64,12 +67,31 @@ def index_runs(report, path):
     return runs
 
 
-def compare_counters(current, baseline):
-    """Exact comparison of the deterministic per-run counters.
+def diff_record(path, base, cur, failures):
+    """Append one failure per key whose value differs between two
+    records, recursing into objects and equal-length arrays; a key
+    present on one side only fails too."""
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for k in sorted(set(base) | set(cur)):
+            sub = f"{path}.{k}" if path else k
+            if k not in cur:
+                failures.append(f"{sub} missing from current report")
+            elif k not in base:
+                failures.append(f"{sub} not in baseline")
+            else:
+                diff_record(sub, base[k], cur[k], failures)
+    elif (isinstance(base, list) and isinstance(cur, list)
+          and len(base) == len(cur)):
+        for i, (b, c) in enumerate(zip(base, cur)):
+            diff_record(f"{path}[{i}]", b, c, failures)
+    elif base != cur:
+        failures.append(f"{path} {base} -> {cur}")
 
-    The compared surface is the intersection of the recorded stats, so
-    a v2 current report still gates cleanly against a v1 baseline.
-    """
+
+def compare_counters(current, baseline):
+    """Exact comparison of the deterministic run records, key for key:
+    cycles, every stat block, per-core arrays, the security, heap and
+    exception rollups, and the fleet's ops/checksum/opsByKind."""
     failures = []
     cur_runs = index_runs(current, "current")
     base_runs = index_runs(baseline, "baseline")
@@ -77,19 +99,9 @@ def compare_counters(current, baseline):
         if key not in cur_runs:
             failures.append(f"run {key} missing from current report")
             continue
-        cur, base = cur_runs[key], base_runs[key]
-        for field in ("cycles", "instructions"):
-            if cur.get(field) != base.get(field):
-                failures.append(
-                    f"run {key}: {field} {base.get(field)} -> "
-                    f"{cur.get(field)}")
-        cur_mem = cur.get("mem", {})
-        base_mem = base.get("mem", {})
-        for stat in sorted(set(cur_mem) & set(base_mem)):
-            if cur_mem[stat] != base_mem[stat]:
-                failures.append(
-                    f"run {key}: mem.{stat} {base_mem[stat]} -> "
-                    f"{cur_mem[stat]}")
+        run_failures = []
+        diff_record("", base_runs[key], cur_runs[key], run_failures)
+        failures += [f"run {key}: {f}" for f in run_failures]
     for key in sorted(cur_runs, key=repr):
         if key not in base_runs:
             failures.append(

@@ -15,6 +15,7 @@
 #include <cstring>
 
 #include "security/scenarios.hh"
+#include "sim/stats_dump.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
 
@@ -69,46 +70,9 @@ report(const RunResult &r, const RunConfig &config)
                 static_cast<unsigned long long>(r.heap.allocs),
                 static_cast<unsigned long long>(r.heap.frees),
                 r.exceptionsDelivered, r.exceptionsSuppressed);
-    // Non-blocking timing lines only when the model is configured, so
-    // the default (flat-latency) output stays byte-identical.
-    if (config.machine.mem.mshrEntries > 0)
-        std::printf("  mshr: allocations=%llu coalesced=%llu "
-                    "stallCycles=%llu peakOccupancy=%llu\n",
-                    static_cast<unsigned long long>(
-                        r.mem.mshrAllocations),
-                    static_cast<unsigned long long>(r.mem.mshrCoalesced),
-                    static_cast<unsigned long long>(
-                        r.mem.mshrStallCycles),
-                    static_cast<unsigned long long>(
-                        r.mem.mshrPeakOccupancy));
-    if (config.machine.mem.dramBanks > 0)
-        std::printf("  dram: rowHits=%llu rowMisses=%llu "
-                    "rowConflicts=%llu bankConflictCycles=%llu\n",
-                    static_cast<unsigned long long>(r.mem.dramRowHits),
-                    static_cast<unsigned long long>(r.mem.dramRowMisses),
-                    static_cast<unsigned long long>(
-                        r.mem.dramRowConflicts),
-                    static_cast<unsigned long long>(
-                        r.mem.dramBankConflictCycles));
-    // Replacement-laboratory line only when some level runs a
-    // non-default policy, keeping default-LRU output byte-identical.
-    if (replPolicyActive(config.machine.mem)) {
-        const double evictions =
-            static_cast<double>(r.mem.l1.evictions + r.mem.l2.evictions +
-                                r.mem.l3.evictions);
-        const double cform = static_cast<double>(
-            r.mem.l1.cformEvictions + r.mem.l2.cformEvictions +
-            r.mem.l3.cformEvictions);
-        std::printf("  repl: cformEvictions=%llu/%llu/%llu "
-                    "cformVictimRate=%.4f\n",
-                    static_cast<unsigned long long>(
-                        r.mem.l1.cformEvictions),
-                    static_cast<unsigned long long>(
-                        r.mem.l2.cformEvictions),
-                    static_cast<unsigned long long>(
-                        r.mem.l3.cformEvictions),
-                    evictions ? cform / evictions : 0.0);
-    }
+    // The gated stat groups (mshr, dram, repl, coherence), one line
+    // each, rendered from the stat table.
+    std::fputs(statGroupLines(r.mem, config.machine).c_str(), stdout);
     // Security rollup only for the attack replay benchmark, keeping
     // every other benchmark's output byte-identical.
     if (r.security.trials > 0)
@@ -126,15 +90,6 @@ report(const RunResult &r, const RunConfig &config)
                     static_cast<unsigned long long>(r.security.probes),
                     static_cast<unsigned long long>(
                         r.security.detectionLatencyCycles));
-    if (r.cores.empty())
-        return;
-    std::printf("  coherence: invalidations=%llu dirtyRecalls=%llu "
-                "convUnderInval=%llu convCycles=%llu\n",
-                static_cast<unsigned long long>(r.mem.invalidationsSent),
-                static_cast<unsigned long long>(r.mem.dirtyRecalls),
-                static_cast<unsigned long long>(r.mem.convUnderInval),
-                static_cast<unsigned long long>(
-                    r.mem.coherenceConvCycles));
     for (std::size_t c = 0; c < r.cores.size(); ++c) {
         const CoreRunStats &core = r.cores[c];
         std::printf("  core%zu: cycles=%llu instructions=%llu "

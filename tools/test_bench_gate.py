@@ -1,8 +1,9 @@
 """Unit tests for bench_gate.py (run as `python3 -m unittest` from
 tools/, wired into ctest as tools.bench_gate.unittest).
 
-Covers the three contract areas of the gate: exact counter comparison
-(any drift fails, grid changes fail in both directions), the relative
+Covers the three contract areas of the gate: exact key-for-key run
+record comparison (any drift or one-sided key fails, grid changes fail
+in both directions), the relative
 wall-clock threshold (edge-exact passes, above fails, missing timing
 reports), and the usage/IO paths (missing or corrupt baseline exits 2
 via SystemExit, --update rewrites the baseline byte for byte).
@@ -71,13 +72,45 @@ class CompareCountersTest(unittest.TestCase):
         self.assertEqual(len(failures), 1)
         self.assertIn("mem.l1d.misses", failures[0])
 
-    def test_only_shared_mem_stats_compared(self):
-        # A v2 current report gates cleanly against a v1 baseline: the
-        # compared surface is the intersection of the recorded stats.
+    def test_mem_stat_on_one_side_fails(self):
+        # Records are compared key for key: a stat only one side
+        # carries is a failure, not a skipped comparison.
         base = make_report([make_run(mem={"l1d.misses": 7})])
         cur = make_report(
             [make_run(mem={"l1d.misses": 7, "wbq.hits": 3})])
-        self.assertEqual(bench_gate.compare_counters(cur, base), [])
+        failures = bench_gate.compare_counters(cur, base)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("mem.wbq.hits not in baseline", failures[0])
+
+    def test_memlp_drift_fails(self):
+        base_run = make_run()
+        base_run["memlp"] = {"mshr.allocations": 10}
+        cur_run = make_run()
+        cur_run["memlp"] = {"mshr.allocations": 11}
+        failures = bench_gate.compare_counters(
+            make_report([cur_run]), make_report([base_run]))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("memlp.mshr.allocations 10 -> 11", failures[0])
+
+    def test_cores_drift_fails(self):
+        base_run = make_run()
+        base_run["cores"] = [{"core": 0, "cycles": 5},
+                             {"core": 1, "cycles": 6}]
+        cur_run = make_run()
+        cur_run["cores"] = [{"core": 0, "cycles": 5},
+                            {"core": 1, "cycles": 7}]
+        failures = bench_gate.compare_counters(
+            make_report([cur_run]), make_report([base_run]))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("cores[1].cycles 6 -> 7", failures[0])
+
+    def test_missing_block_fails(self):
+        base_run = make_run()
+        base_run["repl"] = {"repl.cformVictimRate": 0.5}
+        failures = bench_gate.compare_counters(
+            make_report([make_run()]), make_report([base_run]))
+        self.assertEqual(len(failures), 1)
+        self.assertIn("repl missing from current report", failures[0])
 
     def test_missing_run_fails(self):
         base = make_report([make_run(), make_run(variant="full")])
