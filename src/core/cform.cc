@@ -5,7 +5,9 @@
 namespace califorms
 {
 
-std::optional<CaliformsException>
+// Both helpers are cache-line aligned for the reason given at
+// BudgetedGenerator::fill (workload/synth.cc): every CFORM runs them.
+[[gnu::aligned(64)]] std::optional<CaliformsException>
 checkCform(const BitVectorLine &line, const CformOp &op)
 {
     if (lineOffset(op.lineAddr) != 0)
@@ -30,7 +32,7 @@ checkCform(const BitVectorLine &line, const CformOp &op)
     return std::nullopt;
 }
 
-std::optional<CaliformsException>
+[[gnu::aligned(64)]] std::optional<CaliformsException>
 applyCform(BitVectorLine &line, const CformOp &op)
 {
     if (auto fault = checkCform(line, op))

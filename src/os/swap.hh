@@ -23,9 +23,7 @@ namespace califorms
 
 /**
  * Minimal interface the swap manager needs from main memory: read and
- * write whole lines including their califormed (ECC) bit. Both are
- * mutating operations — implementations count accesses — so the
- * manager must hold a non-const store.
+ * write whole lines including their califormed (ECC) bit.
  */
 class LineStore
 {

@@ -6,22 +6,31 @@
  * (califorms-sentinel). Timing lives in the hierarchy (memsys.hh);
  * this class is purely the tag/data array.
  *
+ * Layout: tags, dirty bits and payloads live in three parallel arrays
+ * indexed set * ways + way. An empty way holds an invalid-tag sentinel
+ * instead of a valid bit, so a lookup (and insert's find-or-free-way
+ * search, one scan per insert) reads only the set's contiguous tags —
+ * 128 bytes for a 16-way set — and never strides over payloads.
+ * Payloads are touched only when a hit returns one, on a fill, and on
+ * an eviction.
+ *
  * Victim selection is delegated to a pluggable ReplacementPolicy
  * (sim/repl/policy.hh): the array owns tags, payloads, and dirty bits;
  * the policy owns all recency/prediction state and is driven through
- * onHit / onMiss / onInsert / victimWay / onInvalidate hooks. The
- * default Lru policy reproduces the historical hardwired true-LRU
- * byte for byte. Hooks carry LineMeta including whether the payload
- * is califormed, and evictions of califormed lines are counted in
- * CacheStats::cformEvictions so the policy laboratory can measure
- * whether scan-resistant policies preferentially evict
- * sentinel-carrying lines.
+ * onHit / onMiss / onInsert / victimWay / onInvalidate hooks that
+ * carry positions (and, for onInsert, the incoming line address) but
+ * no payload. The default Lru policy reproduces the historical
+ * hardwired true-LRU byte for byte. Evictions of califormed lines are
+ * counted in CacheStats::cformEvictions from the evicted payload, so
+ * the policy laboratory can measure whether scan-resistant policies
+ * preferentially evict sentinel-carrying lines.
  */
 
 #ifndef CALIFORMS_SIM_CACHE_ARRAY_HH
 #define CALIFORMS_SIM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -90,9 +99,10 @@ class CacheArray
             size_bytes % (lineBytes * ways) != 0) {
             throw std::invalid_argument("CacheArray: bad geometry");
         }
-        entries_.resize(sets_ * ways_);
+        tags_.assign(sets_ * ways_, kNoLine);
+        dirty_.assign(sets_ * ways_, 0);
+        lines_.resize(sets_ * ways_);
         repl_ = repl::makePolicy(policy, sets_, ways_);
-        cands_.resize(ways_);
     }
 
     /** Look up @p line_addr; on a hit return the payload (policy
@@ -101,16 +111,18 @@ class CacheArray
     LineT *
     access(Addr line_addr, bool make_dirty)
     {
-        Entry *e = lookup(line_addr);
-        if (!e) {
+        const std::size_t set = setIndex(line_addr);
+        const unsigned way = findWay(set, line_addr);
+        if (way == ways_) {
             ++stats_.misses;
-            repl_->onMiss(setIndex(line_addr));
+            repl_->onMiss(set);
             return nullptr;
         }
         ++stats_.hits;
-        e->dirty = e->dirty || make_dirty;
-        repl_->onHit(setIndex(line_addr), wayOf(e), metaOf(*e));
-        return &e->line;
+        const std::size_t i = set * ways_ + way;
+        dirty_[i] |= make_dirty;
+        repl_->onHit(set, way);
+        return &lines_[i];
     }
 
     /** Look up without touching stats or policy state (functional
@@ -118,71 +130,75 @@ class CacheArray
     LineT *
     peek(Addr line_addr)
     {
-        Entry *e = lookup(line_addr);
-        return e ? &e->line : nullptr;
+        const std::size_t i = indexOf(line_addr);
+        return i != kAbsent ? &lines_[i] : nullptr;
     }
 
     const LineT *
     peek(Addr line_addr) const
     {
-        const Entry *e = lookup(line_addr);
-        return e ? &e->line : nullptr;
+        const std::size_t i = indexOf(line_addr);
+        return i != kAbsent ? &lines_[i] : nullptr;
     }
 
     /** Insert a line, evicting the policy's victim if the set is full.
      *  An existing copy of the same line is overwritten in place with
      *  the dirty bits merged; the overwrite counts as a reference
      *  (onHit), so an upgrade-write refreshes recency under every
-     *  policy. */
+     *  policy. When @p filled is non-null it receives the slot now
+     *  holding the line, valid while the line stays resident. */
     Evicted
-    insert(Addr line_addr, LineT line, bool dirty)
+    insert(Addr line_addr, LineT line, bool dirty, LineT **filled = nullptr)
     {
         const std::size_t set = setIndex(line_addr);
-        Entry *match = nullptr;
-        Entry *invalid = nullptr;
+        const std::size_t base = set * ways_;
+        unsigned way = ways_;
+        unsigned free_way = ways_;
         for (unsigned w = 0; w < ways_; ++w) {
-            Entry &e = entries_[set * ways_ + w];
-            if (e.valid && e.lineAddr == line_addr) {
-                match = &e;
+            const Addr tag = tags_[base + w];
+            if (tag == line_addr) {
+                way = w;
                 break;
             }
-            if (!e.valid && !invalid)
-                invalid = &e;
+            if (tag == kNoLine && free_way == ways_)
+                free_way = w;
         }
 
         Evicted out;
-        if (match) {
-            match->dirty = match->dirty || dirty;
-            match->line = std::move(line);
-            repl_->onHit(set, wayOf(match), metaOf(*match));
+        if (way != ways_) {
+            const std::size_t i = base + way;
+            dirty_[i] |= dirty;
+            lines_[i] = std::move(line);
+            repl_->onHit(set, way);
+            if (filled)
+                *filled = &lines_[i];
             return out;
         }
 
-        Entry *slot = invalid;
-        if (!slot) {
-            for (unsigned w = 0; w < ways_; ++w)
-                cands_[w] = metaOf(entries_[set * ways_ + w]);
-            const unsigned victim =
-                repl_->victimWay(set, cands_.data(), ways_);
-            if (victim >= ways_)
+        way = free_way;
+        if (way == ways_) {
+            way = repl_->victimWay(set);
+            if (way >= ways_)
                 throw std::logic_error(
                     "ReplacementPolicy: victim way out of range");
-            slot = &entries_[set * ways_ + victim];
+            const std::size_t i = base + way;
             out.valid = true;
-            out.dirty = slot->dirty;
-            out.lineAddr = slot->lineAddr;
-            out.line = std::move(slot->line);
+            out.dirty = dirty_[i];
+            out.lineAddr = tags_[i];
+            out.line = std::move(lines_[i]);
             ++stats_.evictions;
-            if (slot->dirty)
+            if (out.dirty)
                 ++stats_.dirtyEvictions;
             if (lineCaliformed(out.line))
                 ++stats_.cformEvictions;
         }
-        slot->valid = true;
-        slot->dirty = dirty;
-        slot->lineAddr = line_addr;
-        slot->line = std::move(line);
-        repl_->onInsert(set, wayOf(slot), metaOf(*slot));
+        const std::size_t i = base + way;
+        tags_[i] = line_addr;
+        dirty_[i] = dirty;
+        lines_[i] = std::move(line);
+        repl_->onInsert(set, way, line_addr);
+        if (filled)
+            *filled = &lines_[i];
         return out;
     }
 
@@ -190,8 +206,9 @@ class CacheArray
     void
     markDirty(Addr line_addr)
     {
-        if (Entry *e = lookup(line_addr))
-            e->dirty = true;
+        const std::size_t i = indexOf(line_addr);
+        if (i != kAbsent)
+            dirty_[i] = true;
     }
 
     /** Clear the dirty bit of a resident line (coherence downgrade:
@@ -199,54 +216,57 @@ class CacheArray
     void
     markClean(Addr line_addr)
     {
-        if (Entry *e = lookup(line_addr))
-            e->dirty = false;
+        const std::size_t i = indexOf(line_addr);
+        if (i != kAbsent)
+            dirty_[i] = false;
     }
 
     /** Dirty bit of a resident line (false when absent). */
     bool
     dirtyAt(Addr line_addr) const
     {
-        const Entry *e = lookup(line_addr);
-        return e && e->dirty;
+        const std::size_t i = indexOf(line_addr);
+        return i != kAbsent && dirty_[i];
     }
 
     /** Remove @p line_addr if present; returns true and fills the outs. */
     bool
     extract(Addr line_addr, LineT &line_out, bool &dirty_out)
     {
-        Entry *e = lookup(line_addr);
-        if (!e)
+        const std::size_t set = setIndex(line_addr);
+        const unsigned way = findWay(set, line_addr);
+        if (way == ways_)
             return false;
-        line_out = std::move(e->line);
-        dirty_out = e->dirty;
-        e->valid = false;
-        e->dirty = false;
-        repl_->onInvalidate(setIndex(line_addr), wayOf(e));
+        const std::size_t i = set * ways_ + way;
+        line_out = std::move(lines_[i]);
+        dirty_out = dirty_[i];
+        tags_[i] = kNoLine;
+        dirty_[i] = false;
+        repl_->onInvalidate(set, way);
         return true;
     }
 
-    /** Visit every valid line (used by flush). */
+    /** Visit every valid line (used by flush), set by set, ways in
+     *  ascending order. */
     template <typename Fn>
     void
     forEachLine(Fn &&fn)
     {
-        for (auto &e : entries_)
-            if (e.valid)
-                fn(e.lineAddr, e.line, e.dirty);
+        for (std::size_t i = 0; i < tags_.size(); ++i)
+            if (tags_[i] != kNoLine)
+                fn(tags_[i], lines_[i], static_cast<bool>(dirty_[i]));
     }
 
     /** Drop everything without write-back (only safe after a flush). */
     void
     reset()
     {
-        for (std::size_t i = 0; i < entries_.size(); ++i) {
-            Entry &e = entries_[i];
-            if (e.valid)
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kNoLine)
                 repl_->onInvalidate(i / ways_,
                                     static_cast<unsigned>(i % ways_));
-            e.valid = false;
-            e.dirty = false;
+            tags_[i] = kNoLine;
+            dirty_[i] = false;
         }
     }
 
@@ -256,13 +276,10 @@ class CacheArray
     unsigned ways() const { return ways_; }
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr lineAddr = 0;
-        LineT line{};
-    };
+    /** Tag of an empty way. Line addresses are line-aligned, so the
+     *  all-ones address never names a line. */
+    static constexpr Addr kNoLine = ~Addr{0};
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
 
     std::size_t
     setIndex(Addr line_addr) const
@@ -270,48 +287,35 @@ class CacheArray
         return static_cast<std::size_t>((line_addr >> lineShift) % sets_);
     }
 
-    /** Shared body of the const and non-const lookup overloads: the
-     *  constness of @p self propagates to the returned Entry pointer,
-     *  so neither caller needs a const_cast. */
-    template <typename Self>
-    static auto
-    lookupImpl(Self &self, Addr line_addr) -> decltype(self.entries_.data())
-    {
-        const std::size_t set = self.setIndex(line_addr);
-        for (unsigned w = 0; w < self.ways_; ++w) {
-            auto &e = self.entries_[set * self.ways_ + w];
-            if (e.valid && e.lineAddr == line_addr)
-                return &e;
-        }
-        return nullptr;
-    }
-
-    Entry *lookup(Addr line_addr) { return lookupImpl(*this, line_addr); }
-
-    const Entry *
-    lookup(Addr line_addr) const
-    {
-        return lookupImpl(*this, line_addr);
-    }
-
+    /** Way of @p set holding @p line_addr, or ways_ when absent. Reads
+     *  only the tag array. */
     unsigned
-    wayOf(const Entry *e) const
+    findWay(std::size_t set, Addr line_addr) const
     {
-        return static_cast<unsigned>(
-            static_cast<std::size_t>(e - entries_.data()) % ways_);
+        const Addr *tags = tags_.data() + set * ways_;
+        for (unsigned w = 0; w < ways_; ++w)
+            if (tags[w] == line_addr)
+                return w;
+        return ways_;
     }
 
-    repl::LineMeta
-    metaOf(const Entry &e) const
+    /** Flat index of @p line_addr's slot, or kAbsent. */
+    std::size_t
+    indexOf(Addr line_addr) const
     {
-        return {e.lineAddr, e.dirty, lineCaliformed(e.line)};
+        const std::size_t set = setIndex(line_addr);
+        const unsigned way = findWay(set, line_addr);
+        return way == ways_ ? kAbsent : set * ways_ + way;
     }
 
     unsigned ways_;
     std::size_t sets_;
-    std::vector<Entry> entries_;
+    /** Per-slot arrays indexed set * ways_ + way; a set's tags are
+     *  contiguous, so a lookup reads ways_ * 8 bytes and no payload. */
+    std::vector<Addr> tags_;
+    std::vector<std::uint8_t> dirty_;
+    std::vector<LineT> lines_;
     std::unique_ptr<repl::ReplacementPolicy> repl_;
-    std::vector<repl::LineMeta> cands_; //!< victimWay scratch
     CacheStats stats_;
 };
 

@@ -149,7 +149,8 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
         break;
     }
 
-    auto ev = l1_.insert(line_addr, std::move(line), dirty);
+    BitVectorLine *resident = nullptr;
+    auto ev = l1_.insert(line_addr, std::move(line), dirty, &resident);
     if (ev.valid)
         writeBackL1(ev.lineAddr, ev.line, ev.dirty, &latency);
 
@@ -177,9 +178,6 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
         else
             lastMissReady_ = fill_done;
     }
-
-    BitVectorLine *resident = l1_.peek(line_addr);
-    assert(resident && "line must be resident after refill");
     return *resident;
 }
 

@@ -47,22 +47,22 @@ class LruPolicy final : public ReplacementPolicy
     }
 
     void
-    onHit(std::size_t set, unsigned way, const LineMeta &) override
+    onHit(std::size_t set, unsigned way) override
     {
         stamp_[set * ways_ + way] = ++clock_;
     }
 
     void
-    onInsert(std::size_t set, unsigned way, const LineMeta &) override
+    onInsert(std::size_t set, unsigned way, Addr) override
     {
         stamp_[set * ways_ + way] = ++clock_;
     }
 
     unsigned
-    victimWay(std::size_t set, const LineMeta *, unsigned n) override
+    victimWay(std::size_t set) override
     {
         unsigned victim = 0;
-        for (unsigned w = 1; w < n; ++w)
+        for (unsigned w = 1; w < ways_; ++w)
             if (stamp_[set * ways_ + w] < stamp_[set * ways_ + victim])
                 victim = w;
         return victim;
@@ -80,22 +80,23 @@ class LruPolicy final : public ReplacementPolicy
 class RandomPolicy final : public ReplacementPolicy
 {
   public:
-    RandomPolicy(std::size_t, unsigned) {}
+    RandomPolicy(std::size_t, unsigned ways) : ways_(ways) {}
 
-    void onHit(std::size_t, unsigned, const LineMeta &) override {}
-    void onInsert(std::size_t, unsigned, const LineMeta &) override {}
+    void onHit(std::size_t, unsigned) override {}
+    void onInsert(std::size_t, unsigned, Addr) override {}
 
     unsigned
-    victimWay(std::size_t, const LineMeta *, unsigned n) override
+    victimWay(std::size_t) override
     {
         state_ ^= state_ << 13;
         state_ ^= state_ >> 7;
         state_ ^= state_ << 17;
         const std::uint64_t mixed = state_ * 0x2545f4914f6cdd1dull;
-        return static_cast<unsigned>((mixed >> 33) % n);
+        return static_cast<unsigned>((mixed >> 33) % ways_);
     }
 
   private:
+    unsigned ways_;
     std::uint64_t state_ = 0x9e3779b97f4a7c15ull;
 };
 
@@ -115,7 +116,7 @@ class DipPolicy final : public ReplacementPolicy
     }
 
     void
-    onHit(std::size_t set, unsigned way, const LineMeta &) override
+    onHit(std::size_t set, unsigned way) override
     {
         stamp_[set * ways_ + way] = ++clock_;
     }
@@ -123,7 +124,7 @@ class DipPolicy final : public ReplacementPolicy
     void onMiss(std::size_t set) override { duel_.onMiss(set); }
 
     void
-    onInsert(std::size_t set, unsigned way, const LineMeta &) override
+    onInsert(std::size_t set, unsigned way, Addr) override
     {
         if (duel_.useB(set)) { // LIP: land at the LRU position
             std::int64_t low = stamp_[set * ways_];
@@ -137,10 +138,10 @@ class DipPolicy final : public ReplacementPolicy
     }
 
     unsigned
-    victimWay(std::size_t set, const LineMeta *, unsigned n) override
+    victimWay(std::size_t set) override
     {
         unsigned victim = 0;
-        for (unsigned w = 1; w < n; ++w)
+        for (unsigned w = 1; w < ways_; ++w)
             if (stamp_[set * ways_ + w] < stamp_[set * ways_ + victim])
                 victim = w;
         return victim;
@@ -165,19 +166,19 @@ class RripBase : public ReplacementPolicy
     }
 
     void
-    onHit(std::size_t set, unsigned way, const LineMeta &) override
+    onHit(std::size_t set, unsigned way) override
     {
         rrpv_[set * ways_ + way] = 0; // hit promotion to near-immediate
     }
 
     unsigned
-    victimWay(std::size_t set, const LineMeta *, unsigned n) override
+    victimWay(std::size_t set) override
     {
         for (;;) {
-            for (unsigned w = 0; w < n; ++w)
+            for (unsigned w = 0; w < ways_; ++w)
                 if (rrpv_[set * ways_ + w] >= kMaxRrpv)
                     return w;
-            for (unsigned w = 0; w < n; ++w)
+            for (unsigned w = 0; w < ways_; ++w)
                 ++rrpv_[set * ways_ + w]; // age the whole set
         }
     }
@@ -203,7 +204,7 @@ class DrripPolicy final : public RripBase
     void onMiss(std::size_t set) override { duel_.onMiss(set); }
 
     void
-    onInsert(std::size_t set, unsigned way, const LineMeta &) override
+    onInsert(std::size_t set, unsigned way, Addr) override
     {
         std::uint8_t insert = kMaxRrpv - 1; // SRRIP
         if (duel_.useB(set)) {              // BRRIP
@@ -251,9 +252,9 @@ class ShipPolicy final : public RripBase
     }
 
     void
-    onHit(std::size_t set, unsigned way, const LineMeta &meta) override
+    onHit(std::size_t set, unsigned way) override
     {
-        RripBase::onHit(set, way, meta);
+        RripBase::onHit(set, way);
         const std::size_t idx = set * ways_ + way;
         if (live_[idx] && !reused_[idx]) {
             reused_[idx] = 1;
@@ -263,11 +264,11 @@ class ShipPolicy final : public RripBase
     }
 
     void
-    onInsert(std::size_t set, unsigned way, const LineMeta &meta) override
+    onInsert(std::size_t set, unsigned way, Addr line_addr) override
     {
         const std::size_t idx = set * ways_ + way;
         trainOutgoing(idx);
-        sig_[idx] = signature(meta.lineAddr);
+        sig_[idx] = signature(line_addr);
         live_[idx] = 1;
         reused_[idx] = 0;
         rrpv_[idx] = shct_[sig_[idx]] == 0 ? kMaxRrpv : kMaxRrpv - 1;

@@ -3,27 +3,30 @@
  * Pluggable set-level replacement policies for CacheArray. The array
  * owns the tags and payloads; the policy owns all victim-selection
  * state (recency stamps, RRPVs, signature tables) and is driven
- * through four hooks:
+ * through five hooks:
  *
- *  - onHit(set, way, meta):    a resident line was referenced (a
- *                              lookup hit or an in-place overwrite).
- *  - onMiss(set):              a lookup missed; trains the set-dueling
- *                              PSEL counters of DIP/DRRIP.
- *  - onInsert(set, way, meta): a line landed in a way (fresh fill or
- *                              eviction refill).
- *  - victimWay(set, ways, n):  choose the way to evict; called only
- *                              when every way of the set is valid.
- *  - onInvalidate(set, way):   a line left without being replaced
- *                              (extract / reset), so outcome-tracking
- *                              policies (SHiP) do not mistrain.
+ *  - onHit(set, way):             a resident line was referenced (a
+ *                                 lookup hit or an in-place overwrite).
+ *  - onMiss(set):                 a lookup missed; trains the
+ *                                 set-dueling PSEL counters of
+ *                                 DIP/DRRIP.
+ *  - onInsert(set, way, lineAddr): a line landed in a way (fresh fill
+ *                                 or eviction refill); SHiP hashes
+ *                                 @p lineAddr into its signature.
+ *  - victimWay(set):              choose the way to evict; called only
+ *                                 when every way of the set is valid.
+ *  - onInvalidate(set, way):      a line left without being replaced
+ *                                 (extract / reset), so
+ *                                 outcome-tracking policies (SHiP) do
+ *                                 not mistrain.
  *
- * Every hook that sees a line receives LineMeta, which carries whether
- * the payload is califormed (sentinel/blacklist bytes present). This
- * is what lets the laboratory ask the Califorms question: do
- * scan-resistant policies preferentially evict sentinel-carrying
- * lines, re-inflating conversion cost? CacheArray counts califormed
- * victims in CacheStats::cformEvictions; the policies themselves are
- * payload-agnostic.
+ * The hooks carry positions, not payloads: no policy reads a line's
+ * dirty bit or whether it is califormed, so the array never touches a
+ * payload to drive one. CacheArray counts califormed victims in
+ * CacheStats::cformEvictions from the evicted payload, which is what
+ * lets the laboratory ask the Califorms question: do scan-resistant
+ * policies preferentially evict sentinel-carrying lines, re-inflating
+ * conversion cost?
  *
  * All policies are deterministic: Random uses a fixed-seed xorshift
  * stream (per array instance), BRRIP throttles with a counter rather
@@ -63,17 +66,6 @@ const char *replPolicyName(ReplPolicy policy);
 namespace repl
 {
 
-/** What a policy may know about a line at hook time. */
-struct LineMeta
-{
-    Addr lineAddr = 0;
-    bool dirty = false;
-    /** Payload carries blacklisted bytes (BitVectorLine mask != 0 or
-     *  SentinelLine::califormed); always false for non-CFORM payloads
-     *  such as the int lines the unit tests store. */
-    bool califormed = false;
-};
-
 /** Abstract per-array replacement state. One instance per CacheArray;
  *  geometry is fixed at construction. */
 class ReplacementPolicy
@@ -82,25 +74,18 @@ class ReplacementPolicy
     virtual ~ReplacementPolicy() = default;
 
     /** A resident line in (set, way) was referenced. */
-    virtual void onHit(std::size_t set, unsigned way,
-                       const LineMeta &meta) = 0;
+    virtual void onHit(std::size_t set, unsigned way) = 0;
 
     /** A lookup in @p set missed (before any insert happens). */
     virtual void onMiss(std::size_t set) { (void)set; }
 
-    /** A line was written into (set, way). @p meta describes the
-     *  incoming line. */
-    virtual void onInsert(std::size_t set, unsigned way,
-                          const LineMeta &meta) = 0;
+    /** The line @p line_addr was written into (set, way). */
+    virtual void onInsert(std::size_t set, unsigned way, Addr line_addr) = 0;
 
-    /**
-     * Choose the victim among @p n valid ways of @p set. @p ways[w]
-     * describes the current occupant of way w (so a policy could, for
-     * instance, deprioritize califormed lines). Called only when the
-     * set is full. Must return a value in [0, n).
-     */
-    virtual unsigned victimWay(std::size_t set, const LineMeta *ways,
-                               unsigned n) = 0;
+    /** Choose the way of @p set to evict. Called only when every way
+     *  of the set is valid. Must return a value below the array's
+     *  associativity. */
+    virtual unsigned victimWay(std::size_t set) = 0;
 
     /** The line in (set, way) vanished without a replacement
      *  (extract / reset). */

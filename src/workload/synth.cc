@@ -77,8 +77,15 @@ class BudgetedGenerator : public TraceReader
         return true;
     }
 
-    /** Batch fast path for replay(): one virtual call per batch. */
-    std::size_t
+    /** Batch fast path for replay(): one virtual call per batch.
+     *  Cache-line aligned, like replay(), StackChurnGenerator::produce()
+     *  and checkCform()/applyCform(): on an L1-resident replay these
+     *  are the hottest code, and unaligned their offset within the
+     *  instruction-fetch window moves whenever code linked ahead of
+     *  them changes size (measured on a 4-vCPU x86-64 VM: stackchurn-l1
+     *  ~8% slower ns/op after a cache-array layout change alone, and
+     *  at parity with every function 64-byte aligned). */
+    [[gnu::aligned(64)]] std::size_t
     fill(TraceOp *out, std::size_t max) final
     {
         const std::size_t n = static_cast<std::size_t>(
@@ -221,7 +228,8 @@ class StackChurnGenerator final : public BudgetedGenerator
         return kStackBase - 64 * (depth + 1);
     }
 
-    TraceOp
+    // Cache-line aligned for the reason given at BudgetedGenerator::fill.
+    [[gnu::aligned(64)]] TraceOp
     produce() override
     {
         if (descending_) {

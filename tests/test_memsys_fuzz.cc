@@ -41,13 +41,20 @@ struct Oracle
     }
 };
 
+/** 32 bytes with no padding, as before the policy and queue fields
+ *  were added: ctest lists each case with a dump of its parameter
+ *  object, so the six original cases keep their listed names and every
+ *  dumped byte is initialized. */
 struct FuzzParam
 {
     std::uint64_t seed;
-    std::size_t l1Size;
-    std::size_t l2Size;
-    std::size_t l3Size;
+    std::uint32_t l1Size;
+    std::uint32_t l2Size;
+    std::uint32_t l3Size;
+    ReplPolicy replPolicy = ReplPolicy::Lru;
+    std::uint64_t wbQueueEntries = 0;
 };
+static_assert(sizeof(FuzzParam) == 32);
 
 class MemSysFuzz : public ::testing::TestWithParam<FuzzParam>
 {
@@ -63,6 +70,8 @@ TEST_P(MemSysFuzz, AgreesWithOracle)
     p.l2Ways = 2;
     p.l3Size = param.l3Size;
     p.l3Ways = 4;
+    p.replPolicy = param.replPolicy;
+    p.wbQueueEntries = static_cast<unsigned>(param.wbQueueEntries);
 
     ExceptionUnit exceptions;
     MemorySystem mem(p, exceptions);
@@ -173,6 +182,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FuzzParam> &info) {
         return "seed" + std::to_string(info.param.seed) + "_l1_" +
                std::to_string(info.param.l1Size);
+    });
+
+// Every replacement policy, each with and without a write-back queue:
+// victim choice and queued write-backs reorder traffic between the
+// levels but must never change a loaded value, a fault or the final
+// memory and mask state.
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndWriteBackQueue, MemSysFuzz,
+    ::testing::Values(
+        FuzzParam{11, 1024, 4096, 16384, ReplPolicy::Lru, 0},
+        FuzzParam{12, 1024, 4096, 16384, ReplPolicy::Lru, 4},
+        FuzzParam{13, 1024, 4096, 16384, ReplPolicy::Random, 0},
+        FuzzParam{14, 1024, 4096, 16384, ReplPolicy::Random, 4},
+        FuzzParam{15, 1024, 4096, 16384, ReplPolicy::Dip, 0},
+        FuzzParam{16, 1024, 4096, 16384, ReplPolicy::Dip, 4},
+        FuzzParam{17, 512, 2048, 8192, ReplPolicy::Drrip, 0},
+        FuzzParam{18, 512, 2048, 8192, ReplPolicy::Drrip, 4},
+        FuzzParam{19, 512, 2048, 8192, ReplPolicy::Ship, 0},
+        FuzzParam{20, 512, 2048, 8192, ReplPolicy::Ship, 4}),
+    [](const ::testing::TestParamInfo<FuzzParam> &info) {
+        return std::string(replPolicyName(info.param.replPolicy)) +
+               "_wbq" + std::to_string(info.param.wbQueueEntries);
     });
 
 TEST(MemSysSwapFuzz, SwapRoundTripUnderRandomState)

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "core/sentinel.hh"
 #include "os/exception_unit.hh"
 #include "os/swap.hh"
 #include "sim/main_memory.hh"
+#include "util/rng.hh"
 
 namespace califorms
 {
@@ -200,6 +204,91 @@ TEST(MainMemoryTest, RejectsUnaligned)
     EXPECT_THROW(memory.readLine(1), std::invalid_argument);
     EXPECT_THROW(memory.writeLine(63, SentinelLine{}),
                  std::invalid_argument);
+}
+
+TEST(MainMemoryTest, MatchesUnorderedMapReferenceAcrossGrowths)
+{
+    // Random writes (fresh lines and overwrites) and reads (backed and
+    // absent) against a plain std::unordered_map. ~10k distinct lines
+    // spread over a 64 GB space plus one dense strided run push the key
+    // table through several doublings.
+    MainMemory memory;
+    std::unordered_map<Addr, SentinelLine> want;
+    std::vector<Addr> written;
+    Rng rng(2024);
+    EXPECT_EQ(memory.tableSlots(), 0u); // nothing allocated before a write
+
+    auto random_line = [&rng] {
+        SentinelLine line;
+        const std::uint64_t word = rng.next();
+        for (unsigned i = 0; i < 8; ++i)
+            line.raw[i * 7] = static_cast<std::uint8_t>(word >> (8 * i));
+        line.califormed = rng.chance(0.25);
+        return line;
+    };
+    auto expect_same = [&](Addr la) {
+        const auto it = want.find(la);
+        const SentinelLine expect =
+            it == want.end() ? SentinelLine{} : it->second;
+        EXPECT_EQ(memory.readLine(la), expect) << std::hex << la;
+        EXPECT_EQ(memory.peekLine(la), expect) << std::hex << la;
+    };
+
+    unsigned growths = 0;
+    std::size_t slots = 0;
+    for (int step = 0; step < 60000; ++step) {
+        const std::uint64_t roll = rng.nextBelow(10);
+        Addr la;
+        if (roll < 4 && !written.empty()) // overwrite a backed line
+            la = written[rng.nextBelow(written.size())];
+        else if (roll < 6)
+            la = 0x4000'0000 + lineBytes * (step % 4096); // strided run
+        else
+            la = lineBytes * rng.nextBelow(std::uint64_t{1} << 30);
+        if (roll < 7) {
+            const SentinelLine line = random_line();
+            if (want.find(la) == want.end())
+                written.push_back(la);
+            want[la] = line;
+            memory.writeLine(la, line);
+        } else {
+            expect_same(la);
+            // A read never backs a line.
+            EXPECT_EQ(memory.backedLines(), want.size());
+        }
+        if (memory.tableSlots() != slots) {
+            if (slots) {
+                EXPECT_EQ(memory.tableSlots(), 2 * slots);
+                ++growths;
+            }
+            slots = memory.tableSlots();
+        }
+        EXPECT_LE(4 * memory.backedLines(), 3 * memory.tableSlots());
+    }
+    EXPECT_GE(growths, 3u);
+    EXPECT_GT(want.size(), 9000u);
+
+    EXPECT_EQ(memory.backedLines(), want.size());
+    std::size_t califormed = 0;
+    for (const auto &[la, line] : want) {
+        expect_same(la);
+        califormed += line.califormed;
+    }
+    EXPECT_EQ(memory.califormedLines(), califormed);
+    // Never-written lines next to written ones read as zero.
+    for (int i = 0; i < 1000; ++i) {
+        const Addr la = lineBytes * rng.nextBelow(std::uint64_t{1} << 40);
+        if (want.find(la) == want.end()) {
+            EXPECT_EQ(memory.readLine(la), SentinelLine{});
+        }
+    }
+
+    // Alignment is checked on every path, populated table or not.
+    EXPECT_THROW(memory.readLine(written[0] + 8), std::invalid_argument);
+    EXPECT_THROW(memory.peekLine(written[0] + 1), std::invalid_argument);
+    EXPECT_THROW(memory.writeLine(written[0] + 63, SentinelLine{}),
+                 std::invalid_argument);
+    EXPECT_EQ(memory.backedLines(), want.size());
 }
 
 } // namespace
