@@ -20,7 +20,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "exp/report.hh"
 #include "security/scenarios.hh"
 #include "sim/params.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
@@ -56,10 +56,35 @@ struct Options
      */
     config::Config cfg;
 
+    /**
+     * Parse the harness command line. An unknown argument, a missing
+     * value or a malformed number is a usage error: diagnosed on
+     * stderr, exit 2. @p operands follows the program name in the
+     * --help synopsis.
+     */
     static Options
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, const char *operands = "")
     {
         Options opt;
+        const auto fail = [argv](const std::string &message) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], message.c_str());
+            std::exit(2);
+        };
+        const auto value = [&](int &i) {
+            if (i + 1 >= argc)
+                fail(std::string(argv[i]) + " requires a value");
+            return std::string(argv[++i]);
+        };
+        // --seeds and --jobs take an integer in [min, 4096].
+        const auto count = [&](int &i, std::uint64_t min) {
+            const std::string flag = argv[i];
+            const std::string text = value(i);
+            const auto v = parseU64(text);
+            if (!v || *v < min || *v > 4096)
+                fail(flag + " expects an integer in [" +
+                     std::to_string(min) + ", 4096], got '" + text + "'");
+            return static_cast<unsigned>(*v);
+        };
         for (int i = 1; i < argc; ++i) {
             switch (config::parseCliArg(opt.cfg, argv[i], argc, argv,
                                         i, argv[0])) {
@@ -70,40 +95,38 @@ struct Options
             case config::CliArg::NotMine:
                 break;
             }
-            if (std::strcmp(argv[i], "--quick") == 0) {
+            const std::string arg = argv[i];
+            if (arg == "--quick") {
                 opt.quick = true;
                 opt.scale = 0.1;
                 opt.seeds = 1;
-            } else if (std::strcmp(argv[i], "--scale") == 0 &&
-                       i + 1 < argc) {
-                opt.scale = std::atof(argv[++i]);
-            } else if (std::strcmp(argv[i], "--seeds") == 0 &&
-                       i + 1 < argc) {
-                opt.seeds = static_cast<unsigned>(
-                    std::atoi(argv[++i]));
-            } else if (std::strcmp(argv[i], "--jobs") == 0 &&
-                       i + 1 < argc) {
-                opt.jobs = static_cast<unsigned>(
-                    std::atoi(argv[++i]));
-            } else if (std::strcmp(argv[i], "--json") == 0 &&
-                       i + 1 < argc) {
-                opt.jsonPath = argv[++i];
-            } else if (std::strcmp(argv[i], "--csv") == 0 &&
-                       i + 1 < argc) {
-                opt.csvPath = argv[++i];
-            } else if (std::strcmp(argv[i], "--help") == 0) {
-                std::printf("usage: %s [--scale S] [--seeds N] "
+            } else if (arg == "--scale") {
+                const std::string text = value(i);
+                const auto v = parseDouble(text);
+                if (!v || *v <= 0)
+                    fail("--scale expects a positive number, got '" +
+                         text + "'");
+                opt.scale = *v;
+            } else if (arg == "--seeds") {
+                opt.seeds = count(i, 1);
+            } else if (arg == "--jobs") {
+                opt.jobs = count(i, 0);
+            } else if (arg == "--json") {
+                opt.jsonPath = value(i);
+            } else if (arg == "--csv") {
+                opt.csvPath = value(i);
+            } else if (arg == "--help") {
+                std::printf("usage: %s%s [--scale S] [--seeds N] "
                             "[--jobs N] [--quick]\n"
                             "          [--json FILE] [--csv FILE]\n"
                             "\n%s\n",
-                            argv[0], config::cliUsage().c_str());
+                            argv[0], operands,
+                            config::cliUsage().c_str());
                 std::exit(0);
+            } else {
+                fail("unknown argument '" + arg + "'");
             }
         }
-        if (opt.scale <= 0)
-            opt.scale = 0.5;
-        if (opt.seeds == 0)
-            opt.seeds = 1;
         return opt;
     }
 

@@ -1,19 +1,20 @@
-# Runs the hierarchy bench harness with --quick --json and gates the
-# fresh report against the committed BENCH_hierarchy.json baseline via
+# Runs one perf anchor with --jobs 1 --json and gates the fresh report
+# against its committed BENCH_<anchor>.json baseline via
 # tools/bench_gate.py. Counters only (--no-time): ctest runs suites in
 # parallel, so wall-clock is not comparable here — CI's bench-baseline
 # job runs the same gate with the time threshold armed.
 #
-# Usage: cmake -DBENCH=<bin> -DPYTHON=<python3> -DGATE=<bench_gate.py>
-#        -DBASELINE=<BENCH_hierarchy.json> -DOUT=<fresh.json>
-#        -P BenchGate.cmake
+# Usage: cmake -DCMD=<anchor argv joined with '|'> -DPYTHON=<python3>
+#        -DGATE=<bench_gate.py> -DBASELINE=<BENCH_<anchor>.json>
+#        -DOUT=<fresh.json> -P BenchGate.cmake
 
-execute_process(COMMAND ${BENCH} --quick --jobs 1 --json ${OUT}
+string(REPLACE "|" ";" cmd "${CMD}")
+execute_process(COMMAND ${cmd} --jobs 1 --json ${OUT}
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "'${BENCH}' exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  message(FATAL_ERROR "'${CMD}' exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
 execute_process(COMMAND ${PYTHON} ${GATE} ${OUT} ${BASELINE} --no-time
                 OUTPUT_VARIABLE gate_out

@@ -1,6 +1,7 @@
-# Runs a campaign harness twice — serial and parallel — and requires
-# byte-identical stdout: the campaign engine's determinism guarantee,
-# enforced end to end on a real bench binary.
+# Runs a command that takes --jobs (a campaign harness, a perf anchor,
+# `califorms fleet`) twice — serial and parallel — and requires
+# byte-identical stdout: the engine's determinism guarantee, enforced
+# end to end on a real binary.
 #
 # Usage: cmake -DCMD=<argv joined with '|'> -DJOBS=<n> -P JobsInvariance.cmake
 
