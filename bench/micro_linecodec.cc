@@ -2,7 +2,8 @@
  * @file micro_linecodec.cc
  * Google-benchmark microbenchmarks of the line codecs: sentinel
  * search, spill/fill conversion (Algorithms 1-2), the Appendix A
- * variants, and CFORM application. These are the software-model
+ * variants, CFORM application and fault checking, and the canonical
+ * zeroing of security bytes. These are the software-model
  * analogues of the datapath blocks Table 2 synthesizes.
  */
 
@@ -128,6 +129,34 @@ BM_ApplyCform(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ApplyCform);
+
+void
+BM_CheckCformFault(benchmark::State &state)
+{
+    // A set of the whole line on a line whose only security byte sits
+    // at byte Arg: every byte before it is a legal transition, the
+    // byte itself faults (CformSetOnSecurity).
+    BitVectorLine line;
+    line.mask = 1ull << state.range(0);
+    const CformOp set = makeSetOp(0, ~0ull);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(checkCform(line, set));
+}
+BENCHMARK(BM_CheckCformFault)->Arg(0)->Arg(31)->Arg(63);
+
+void
+BM_Canonicalize(benchmark::State &state)
+{
+    Rng rng(9);
+    BitVectorLine line =
+        randomLine(rng, static_cast<unsigned>(state.range(0)));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(line);
+        line.canonicalize();
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_Canonicalize)->Arg(1)->Arg(4)->Arg(16)->Arg(63);
 
 } // namespace
 } // namespace califorms

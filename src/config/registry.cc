@@ -722,7 +722,8 @@ ParamRegistry::ParamRegistry()
 
     // ----------------------------------------------------------------
     // fleet.* — multi-tenant serving engine (FleetParams; only
-    // `califorms fleet` and the fleet_throughput bench consume these).
+    // `califorms fleet` consumes these, e.g. the bench/fleet.manifest
+    // anchor).
     // ----------------------------------------------------------------
     specs_.push_back(uintKnob(
         "fleet.shards", 0, 256, "",

@@ -5,31 +5,31 @@
 namespace califorms
 {
 
-// Both helpers are cache-line aligned for the reason given at
-// BudgetedGenerator::fill (workload/synth.cc): every CFORM runs them.
+// Table 1 as mask algebra: a selected byte may change only when its R2
+// bit differs from its current state (set a regular byte, unset a
+// security byte), so every selected byte where they agree faults.
+//
+// Both kernels stay cache-line aligned although they are now a few
+// instructions each: the pins keep every function linked after them at
+// the offset mod 64 it had under the per-byte loops (see
+// BudgetedGenerator::fill in workload/synth.cc for why offsets matter).
 [[gnu::aligned(64)]] std::optional<CaliformsException>
 checkCform(const BitVectorLine &line, const CformOp &op)
 {
     if (lineOffset(op.lineAddr) != 0)
         throw std::invalid_argument("CFORM: address not line aligned");
 
-    // Table 1, evaluated per byte in address order so the reported fault
-    // is the lowest faulting address (precise exception).
-    for (unsigned i = 0; i < lineBytes; ++i) {
-        if (!testBit(op.mask, i))
-            continue; // "Don't Care" column: masked bytes never change
-        const bool set = testBit(op.setBits, i);
-        const bool sec = line.isSecurityByte(i);
-        if (set && sec) {
-            return CaliformsException{op.lineAddr + i, AccessKind::Cform,
-                                      FaultReason::CformSetOnSecurity, 0};
-        }
-        if (!set && !sec) {
-            return CaliformsException{op.lineAddr + i, AccessKind::Cform,
-                                      FaultReason::CformUnsetRegular, 0};
-        }
-    }
-    return std::nullopt;
+    const std::uint64_t bad = op.mask & ~(op.setBits ^ line.mask);
+    if (bad == 0)
+        return std::nullopt;
+    // The lowest faulting byte is reported (precise exception); its R2
+    // bit says which illegal transition it attempted.
+    const unsigned i = findFirstOne(bad);
+    return CaliformsException{op.lineAddr + i, AccessKind::Cform,
+                              testBit(op.setBits, i)
+                                  ? FaultReason::CformSetOnSecurity
+                                  : FaultReason::CformUnsetRegular,
+                              0};
 }
 
 [[gnu::aligned(64)]] std::optional<CaliformsException>
@@ -38,19 +38,11 @@ applyCform(BitVectorLine &line, const CformOp &op)
     if (auto fault = checkCform(line, op))
         return fault;
 
-    for (unsigned i = 0; i < lineBytes; ++i) {
-        if (!testBit(op.mask, i))
-            continue;
-        if (testBit(op.setBits, i)) {
-            line.mask |= 1ull << i;
-            line.data[i] = 0; // canonical: security bytes read as zero
-        } else {
-            line.mask &= ~(1ull << i);
-            // The byte stays zero: freed data was already zeroed by the
-            // clean-before-use software contract (Section 6.1).
-            line.data[i] = 0;
-        }
-    }
+    line.mask = (line.mask & ~op.mask) | (op.setBits & op.mask);
+    // Every changed byte reads zero: newly set security bytes are
+    // canonical, and freed data was already zeroed by the
+    // clean-before-use software contract (Section 6.1).
+    line.data.clearBytes(op.mask);
     return std::nullopt;
 }
 

@@ -41,6 +41,15 @@ struct LineData
     std::uint8_t &operator[](std::size_t i) { return bytes[i]; }
     const std::uint8_t &operator[](std::size_t i) const { return bytes[i]; }
 
+    /** Zero every byte whose bit is set in @p byte_mask, visiting only
+     *  those bytes (bit iteration, no per-byte branch). */
+    void
+    clearBytes(std::uint64_t byte_mask)
+    {
+        for (; byte_mask; byte_mask &= byte_mask - 1)
+            bytes[findFirstOne(byte_mask)] = 0;
+    }
+
     bool operator==(const LineData &other) const = default;
 };
 
@@ -60,10 +69,17 @@ struct BitVectorLine
      * True if the canonical-form invariant holds: every security byte's
      * data slot is zero.
      */
-    bool canonical() const;
+    bool
+    canonical() const
+    {
+        for (SecurityMask m = mask; m; m &= m - 1)
+            if (data[findFirstOne(m)] != 0)
+                return false;
+        return true;
+    }
 
     /** Zero the data under every security byte (restore canonical form). */
-    void canonicalize();
+    void canonicalize() { data.clearBytes(mask); }
 
     bool operator==(const BitVectorLine &other) const = default;
 };

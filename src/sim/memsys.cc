@@ -475,13 +475,12 @@ MemorySystem::cform(const CformOp &op)
             res.latency += coalesceWait(op.lineAddr);
             if (coherentMulti())
                 shared_->upgrade(coreId_, op.lineAddr, res.latency);
-            if (auto fault = checkCform(*line, op)) {
+            if (auto fault = applyCform(*line, op)) {
                 ++stats_.securityFaults;
                 res.faulted = true;
                 exceptions_.raise(*fault);
                 return res;
             }
-            applyCform(*line, op);
             l1_.markDirty(op.lineAddr);
             return res;
         }
@@ -489,7 +488,7 @@ MemorySystem::cform(const CformOp &op)
         SentinelLine below =
             fetchBelowL1(op.lineAddr, res.latency, dirty, true);
         BitVectorLine decoded = fillLine(below);
-        if (auto fault = checkCform(decoded, op)) {
+        if (auto fault = applyCform(decoded, op)) {
             ++stats_.securityFaults;
             res.faulted = true;
             exceptions_.raise(*fault);
@@ -505,7 +504,6 @@ MemorySystem::cform(const CformOp &op)
             }
             return res;
         }
-        applyCform(decoded, op);
         writeBackL1(op.lineAddr, decoded, true, &res.latency);
         return res;
     }
@@ -520,13 +518,12 @@ MemorySystem::cform(const CformOp &op)
             shared_->upgrade(coreId_, op.lineAddr, res.latency);
     }
 
-    if (auto fault = checkCform(*line, op)) {
+    if (auto fault = applyCform(*line, op)) {
         ++stats_.securityFaults;
         res.faulted = true;
         exceptions_.raise(*fault);
         return res;
     }
-    applyCform(*line, op);
     l1_.markDirty(op.lineAddr);
     return res;
 }

@@ -78,13 +78,15 @@ class BudgetedGenerator : public TraceReader
     }
 
     /** Batch fast path for replay(): one virtual call per batch.
-     *  Cache-line aligned, like replay(), StackChurnGenerator::produce()
-     *  and checkCform()/applyCform(): on an L1-resident replay these
+     *  Cache-line aligned, like replay() and
+     *  StackChurnGenerator::produce(): on an L1-resident replay these
      *  are the hottest code, and unaligned their offset within the
      *  instruction-fetch window moves whenever code linked ahead of
      *  them changes size (measured on a 4-vCPU x86-64 VM: stackchurn-l1
      *  ~8% slower ns/op after a cache-array layout change alone, and
-     *  at parity with every function 64-byte aligned). */
+     *  at parity with every function 64-byte aligned). checkCform()/
+     *  applyCform() are pinned too, now to hold the offsets of the code
+     *  linked after them (core/cform.cc). */
     [[gnu::aligned(64)]] std::size_t
     fill(TraceOp *out, std::size_t max) final
     {
@@ -739,7 +741,7 @@ synthSuite()
     // The classic five only: the workload-suite / multicore / memlp
     // bench baselines iterate this suite, so growing it would change
     // their committed grids. The adversarial stressors form their own
-    // suite below (bench_repl_policies / BENCH_repl.json).
+    // suite below (`bench_anchor repl` / BENCH_repl.json).
     static const std::vector<SpecBenchmark> suite = [] {
         std::vector<SpecBenchmark> benches;
         const auto &names = synthWorkloadNames();

@@ -1,12 +1,18 @@
 /**
  * @file test_cform.cc
  * Exhaustive tests of the CFORM instruction semantics against the
- * Table 1 K-map, plus atomicity and the canonical zeroing contract.
+ * Table 1 K-map, plus atomicity and the canonical zeroing contract,
+ * and a seeded differential test of the word-parallel kernels against
+ * the per-byte reference in cform_reference.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "cform_reference.hh"
 #include "core/cform.hh"
+#include "util/rng.hh"
 
 namespace califorms
 {
@@ -174,6 +180,159 @@ TEST(CformHelpers, MakeOpsTargetExactMask)
     const CformOp unset = makeUnsetOp(0x40, m);
     EXPECT_EQ(unset.setBits, 0u);
     EXPECT_EQ(unset.mask, m);
+}
+
+// ---- Differential: word-parallel kernels vs. the per-byte reference --
+
+/** A 64-bit byte mask drawn so the extremes (no byte, every byte, one
+ *  byte) turn up as often as dense and sparse random masks. */
+std::uint64_t
+randomByteMask(Rng &rng)
+{
+    switch (rng.nextBelow(6)) {
+    case 0:
+        return 0;
+    case 1:
+        return ~0ull;
+    case 2:
+        return 1ull << rng.nextBelow(lineBytes);
+    case 3:
+        return rng.next() & rng.next() & rng.next(); // sparse
+    default:
+        return rng.next();
+    }
+}
+
+BitVectorLine
+randomLine(Rng &rng)
+{
+    BitVectorLine line;
+    for (auto &b : line.data.bytes)
+        b = static_cast<std::uint8_t>(rng.next());
+    line.mask = randomByteMask(rng);
+    if (rng.chance(0.5))
+        test::referenceCanonicalize(line);
+    return line;
+}
+
+/** An op on @p line: legal on every selected byte, then with a few
+ *  selected bytes flipped to an illegal transition (either reason,
+ *  anywhere in the line) on most draws. R2 bits outside R3 are random
+ *  so the "Don't Care" column is exercised too. */
+CformOp
+randomOp(Rng &rng, const BitVectorLine &line)
+{
+    CformOp op;
+    op.lineAddr = rng.nextBelow(1u << 20) * lineBytes;
+    op.mask = randomByteMask(rng);
+    op.setBits = (~line.mask & op.mask) | (rng.next() & ~op.mask);
+    const unsigned faults = static_cast<unsigned>(rng.nextBelow(4));
+    for (unsigned f = 0; f < faults; ++f) {
+        const unsigned i = static_cast<unsigned>(rng.nextBelow(lineBytes));
+        op.mask |= 1ull << i;
+        op.setBits = (op.setBits & ~(1ull << i)) |
+                     (line.mask & (1ull << i)); // R2 == state: illegal
+    }
+    return op;
+}
+
+void
+expectSameFault(const std::optional<CaliformsException> &got,
+                const std::optional<CaliformsException> &want,
+                std::uint64_t iter)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "iter " << iter;
+    if (!want)
+        return;
+    EXPECT_EQ(got->faultAddr, want->faultAddr) << "iter " << iter;
+    EXPECT_EQ(got->kind, want->kind) << "iter " << iter;
+    EXPECT_EQ(got->reason, want->reason) << "iter " << iter;
+    EXPECT_EQ(got->cycle, want->cycle) << "iter " << iter;
+}
+
+TEST(CformDiff, MatchesPerByteReference)
+{
+    Rng rng(0xcf0e11);
+    std::set<unsigned> set_fault_bytes, unset_fault_bytes;
+    unsigned legal = 0, zero_masks = 0, full_masks = 0;
+    for (std::uint64_t iter = 0; iter < 200000; ++iter) {
+        const BitVectorLine before = randomLine(rng);
+        const CformOp op = randomOp(rng, before);
+        zero_masks += op.mask == 0;
+        full_masks += op.mask == ~0ull;
+
+        const auto want_check = test::referenceCheckCform(before, op);
+        const auto got_check = checkCform(before, op);
+        expectSameFault(got_check, want_check, iter);
+
+        BitVectorLine want = before, got = before;
+        const auto want_apply = test::referenceApplyCform(want, op);
+        const auto got_apply = applyCform(got, op);
+        expectSameFault(got_apply, want_apply, iter);
+        EXPECT_EQ(got.mask, want.mask) << "iter " << iter;
+        EXPECT_EQ(got.data, want.data) << "iter " << iter;
+        if (want_apply) {
+            // Atomic: a faulting CFORM leaves the line untouched.
+            EXPECT_EQ(got, before) << "iter " << iter;
+            const unsigned byte =
+                static_cast<unsigned>(want_apply->faultAddr - op.lineAddr);
+            (want_apply->reason == FaultReason::CformSetOnSecurity
+                 ? set_fault_bytes
+                 : unset_fault_bytes)
+                .insert(byte);
+        } else {
+            ++legal;
+        }
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    // The draw reached every case the comparison is meant to cover.
+    EXPECT_GT(legal, 10000u);
+    EXPECT_GT(zero_masks, 1000u);
+    EXPECT_GT(full_masks, 1000u);
+    EXPECT_EQ(set_fault_bytes.size(), lineBytes);
+    EXPECT_EQ(unset_fault_bytes.size(), lineBytes);
+}
+
+TEST(CformDiff, CanonicalMatchesPerByteReference)
+{
+    Rng rng(0xca90);
+    unsigned canonical = 0;
+    for (std::uint64_t iter = 0; iter < 100000; ++iter) {
+        BitVectorLine line = randomLine(rng);
+        if (rng.chance(0.3)) {
+            // One stray nonzero byte, possibly under a security byte.
+            line.data[rng.nextBelow(lineBytes)] =
+                static_cast<std::uint8_t>(rng.nextRange(1, 255));
+        }
+        EXPECT_EQ(line.canonical(), test::referenceCanonical(line))
+            << "iter " << iter;
+        canonical += line.canonical();
+
+        BitVectorLine want = line;
+        test::referenceCanonicalize(want);
+        line.canonicalize();
+        EXPECT_EQ(line, want) << "iter " << iter;
+        EXPECT_TRUE(line.canonical()) << "iter " << iter;
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_GT(canonical, 10000u);
+    EXPECT_LT(canonical, 90000u);
+}
+
+TEST(CformDiff, BothRejectUnalignedAddresses)
+{
+    Rng rng(0xa119);
+    for (int iter = 0; iter < 1000; ++iter) {
+        BitVectorLine line = randomLine(rng);
+        CformOp op = randomOp(rng, line);
+        op.lineAddr += rng.nextRange(1, lineBytes - 1);
+        EXPECT_THROW(test::referenceCheckCform(line, op),
+                     std::invalid_argument);
+        EXPECT_THROW(checkCform(line, op), std::invalid_argument);
+        EXPECT_THROW(applyCform(line, op), std::invalid_argument);
+    }
 }
 
 } // namespace

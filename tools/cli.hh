@@ -56,6 +56,15 @@ bool setOrReport(config::Config &cfg, const char *prog,
                  const std::string &flag, const std::string &key,
                  const std::string &text);
 
+/** Strictly parse an unsigned flag value in [min, max]; prints
+ *  "<prog>: <flag> expects an integer in [min, max], got '<text>'" and
+ *  returns std::nullopt on failure (negative, garbage, or out-of-range
+ *  input must not silently wrap or clamp into a count). */
+std::optional<std::uint64_t> parseCount(const char *prog, const char *flag,
+                                        const std::string &text,
+                                        std::uint64_t min,
+                                        std::uint64_t max);
+
 } // namespace califorms::cli
 
 #endif // CALIFORMS_TOOLS_CLI_HH

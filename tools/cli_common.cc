@@ -42,4 +42,20 @@ setOrReport(config::Config &cfg, const char *prog,
     return true;
 }
 
+std::optional<std::uint64_t>
+parseCount(const char *prog, const char *flag, const std::string &text,
+           std::uint64_t min, std::uint64_t max)
+{
+    const auto v = parseU64(text);
+    if (!v || *v < min || *v > max) {
+        std::fprintf(stderr,
+                     "%s: %s expects an integer in [%llu, %llu], got "
+                     "'%s'\n",
+                     prog, flag, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), text.c_str());
+        return std::nullopt;
+    }
+    return v;
+}
+
 } // namespace califorms::cli

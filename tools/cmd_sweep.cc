@@ -21,7 +21,6 @@
 #include "cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "exp/campaign.hh"
@@ -209,14 +208,16 @@ cmdSweep(int argc, char **argv)
             if (!setOrReport(cfg, prog, arg, "run.scale",
                              flagValue(argc, argv, i)))
                 return 2;
-        } else if (arg == "--seeds") {
-            seeds = static_cast<unsigned>(
-                std::atoi(flagValue(argc, argv, i)));
-            if (seeds == 0)
-                seeds = 1;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::atoi(flagValue(argc, argv, i)));
+        } else if (arg == "--seeds" || arg == "--jobs") {
+            // Same ranges as the bench harnesses (bench::Options):
+            // seeds in [1, 4096], jobs in [0, 4096], 0 = all cores.
+            const bool is_seeds = arg == "--seeds";
+            const auto v = parseCount(prog, arg.c_str(),
+                                      flagValue(argc, argv, i),
+                                      is_seeds ? 1 : 0, 4096);
+            if (!v)
+                return 2;
+            (is_seeds ? seeds : jobs) = static_cast<unsigned>(*v);
         } else if (arg == "--json") {
             json_path = flagValue(argc, argv, i);
         } else if (arg == "--csv") {

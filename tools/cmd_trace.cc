@@ -82,26 +82,6 @@ parseFormat(const std::string &text, TraceFormat &format)
     return false;
 }
 
-/** Strictly parse an unsigned flag value in [min, max]; prints the
- *  diagnostic and returns std::nullopt on failure (negative, garbage,
- *  or out-of-range input must not silently wrap into a huge count). */
-std::optional<std::uint64_t>
-parseCount(const char *flag, const std::string &text,
-           std::uint64_t min, std::uint64_t max)
-{
-    const auto v = parseU64(text);
-    if (!v || *v < min || *v > max) {
-        std::fprintf(stderr,
-                     "califorms trace: %s expects an integer in "
-                     "[%llu, %llu], got '%s'\n",
-                     flag, static_cast<unsigned long long>(min),
-                     static_cast<unsigned long long>(max),
-                     text.c_str());
-        return std::nullopt;
-    }
-    return v;
-}
-
 /** Open @p path for reading in binary mode; '-' is stdin. Returns
  *  nullptr after printing a diagnostic. */
 std::istream *
@@ -191,15 +171,16 @@ traceGen(int argc, char **argv)
         }
         if (arg == "--ops") {
             // Same bound as the workload.ops registry knob.
-            const auto v = parseCount("--ops", flagValue(argc, argv, i),
-                                      1, 1u << 30);
+            const auto v = parseCount("califorms trace", "--ops",
+                                      flagValue(argc, argv, i), 1, 1u << 30);
             if (!v)
                 return 2;
             ops = static_cast<std::size_t>(*v);
             ops_set = true;
         } else if (arg == "--seed") {
             const auto v =
-                parseCount("--seed", flagValue(argc, argv, i), 0,
+                parseCount("califorms trace", "--seed",
+                           flagValue(argc, argv, i), 0,
                            std::numeric_limits<std::uint64_t>::max());
             if (!v)
                 return 2;
